@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_discrete_lyapunov
 from scipy.optimize import brentq
 
 
@@ -408,10 +408,12 @@ def gaussian_continuous_propagation(
     """Exact law of the continuous dynamics on a quadratic potential.
 
     The mean follows e^{A t} mean0 and the covariance solves the Lyapunov ODE
-    dS/dt = A S + S A^T + D, integrated with fixed-step classical RK4 at step
-    <= 1e-3 / max(1, ||A||) so the oracle is far more accurate than anything
-    it is used to check.  ``t`` may be a scalar or an increasing sequence;
-    a matching GaussianSummary (or list thereof) is returned.
+    dS/dt = A S + S A^T + D.  Over a sub-span tau, S <- F S F^T + Q with
+    F = e^{A tau} and Q = int_0^tau e^{A s} D e^{A^T s} ds, both read off one
+    block exponential (Van Loan 1978).  Sub-spans keep ||A||_1 tau <= 1: over
+    a long span the e^{-A tau} block of that exponential grows and cancels.
+    ``t`` may be a scalar or an increasing sequence; a matching
+    GaussianSummary (or list thereof) is returned.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
@@ -422,27 +424,23 @@ def gaussian_continuous_propagation(
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonnegative and nondecreasing")
     A, D = _drift_diffusion(H, alpha, gamma)
+    n2 = A.shape[0]
     mean0 = np.asarray(mean0, dtype=float)
     cov = np.atleast_2d(np.asarray(cov0, dtype=float)).copy()
-    dt_max = 1e-3 / max(1.0, np.linalg.norm(A, 2))
-
-    def rhs(S):
-        AS = A @ S
-        return AS + AS.T + D
+    norm_a = max(1.0, np.linalg.norm(A, 1))
 
     out = []
     t_prev = 0.0
     for t_k in times:
         span = t_k - t_prev
         if span > 0:
-            nsteps = max(1, int(math.ceil(span / dt_max)))
-            dt = span / nsteps
+            nsteps = max(1, int(math.ceil(span * norm_a)))
+            tau = span / nsteps
+            E = expm(np.block([[-A, D], [np.zeros_like(A), A.T]]) * tau)
+            F = E[n2:, n2:].T
+            Q = F @ E[:n2, n2:]
             for _ in range(nsteps):
-                k1 = rhs(cov)
-                k2 = rhs(cov + 0.5 * dt * k1)
-                k3 = rhs(cov + 0.5 * dt * k2)
-                k4 = rhs(cov + dt * k3)
-                cov = cov + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                cov = F @ cov @ F.T + Q
         mean = expm(A * t_k) @ mean0 if t_k > 0 else mean0.copy()
         out.append(GaussianSummary(mean=mean, cov=0.5 * (cov + cov.T)))
         t_prev = t_k
@@ -450,27 +448,14 @@ def gaussian_continuous_propagation(
 
 
 def discrete_stationary_covariance(step_map: AffineGaussianMap) -> GaussianSummary:
-    """Unique fixed point of S = T S T^T + Q, by fixed-point iteration.
-
-    Convergence is geometric at rate spectral_radius(T)^2; the iteration
-    stops when the max-abs update drops below 1e-13.
-    """
+    """Unique fixed point of S = T S T^T + Q, by a direct discrete Lyapunov solve."""
     radius = spectral_radius(step_map.T)
     if radius >= 1.0:
         raise ValueError(
             f"spectral radius {radius:.6f} >= 1: no stationary distribution"
         )
-    T, Q = step_map.T, step_map.Q
-    S = Q.copy()
-    for _ in range(1_000_000):
-        S_next = T @ S @ T.T + Q
-        delta = float(np.max(np.abs(S_next - S)))
-        S = S_next
-        if delta < 1e-13:
-            break
-    else:
-        raise RuntimeError("fixed-point iteration did not converge")
-    mean = np.linalg.solve(np.eye(step_map.dim) - T, step_map.c)
+    S = solve_discrete_lyapunov(step_map.T, step_map.Q)
+    mean = np.linalg.solve(np.eye(step_map.dim) - step_map.T, step_map.c)
     return GaussianSummary(mean=mean, cov=0.5 * (S + S.T))
 
 

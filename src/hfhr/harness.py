@@ -8,12 +8,15 @@ worker count.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import html
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,7 +26,7 @@ from .analysis import GaussianSummary
 from .metrics import chi2_histogram, mean_error, w2_gaussian
 from .potentials import VALID_POTENTIALS, PotentialModel, builtin_potential
 from .rng import RandomSource
-from .samplers import ChainState, SamplerConfig, make_stepper
+from .samplers import ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
 
 BLOCK_SIZE = 1000
 
@@ -115,6 +118,22 @@ def _check_keys(obj: dict, allowed: set, where: str):
             raise ConfigError(f"unknown key '{key}' in {where}")
 
 
+def _number(value) -> bool:
+    return isinstance(value, Real) and math.isfinite(value)
+
+
+def _positive_number(value) -> bool:
+    return _number(value) and value > 0
+
+
+def _sampler_config(where: str, **fields) -> SamplerConfig:
+    """SamplerConfig from spec fields; its ValueError gains the spec path."""
+    try:
+        return SamplerConfig(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
+
+
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate a JSON experiment document.
 
@@ -170,23 +189,10 @@ def parse_config(text: str) -> ExperimentSpec:
         if not isinstance(entry, dict):
             raise ConfigError(f"{where} must be an object")
         _check_keys(entry, {"id", "kind", "alpha", "gamma", "step"}, where)
-        kind = entry.get("kind")
-        if kind not in ("hfhr_strang", "uld_klmc", "ula", "hfhr_em"):
-            raise ConfigError(f"{where}.kind must be one of hfhr_strang, uld_klmc, ula, hfhr_em")
-        step = entry.get("step")
-        if not isinstance(step, (int, float)) or step <= 0:
-            raise ConfigError(f"{where}.step must be > 0")
-        gamma = entry.get("gamma", 1.0)
-        if not isinstance(gamma, (int, float)) or (kind != "ula" and gamma <= 0):
-            raise ConfigError(f"{where}.gamma must be > 0")
-        alpha = entry.get("alpha", 0.0)
-        if not isinstance(alpha, (int, float)) or alpha < 0:
-            raise ConfigError(f"{where}.alpha must be >= 0")
-        default_id = f"{kind}-a{alpha}-g{gamma}-h{step}"
-        config_id = entry.get("id", default_id)
-        samplers.append(
-            (str(config_id), SamplerConfig(kind=kind, step=float(step), gamma=float(gamma), alpha=float(alpha)))
-        )
+        kind, step = entry.get("kind"), entry.get("step")
+        gamma, alpha = entry.get("gamma", 1.0), entry.get("alpha", 0.0)
+        config = _sampler_config(where, kind=kind, step=step, gamma=gamma, alpha=alpha)
+        samplers.append((str(entry.get("id", f"{kind}-a{alpha}-g{gamma}-h{step}")), config))
     if len({cid for cid, _ in samplers}) != len(samplers):
         raise ConfigError("sampler ids must be unique")
 
@@ -196,20 +202,20 @@ def parse_config(text: str) -> ExperimentSpec:
         raise ConfigError("exactly one of 'steps' or 'horizon' is required")
     if steps is not None and (not isinstance(steps, int) or steps < 1):
         raise ConfigError("steps must be a positive integer")
-    if horizon is not None and (not isinstance(horizon, (int, float)) or horizon <= 0):
+    if horizon is not None and not _positive_number(horizon):
         raise ConfigError("horizon must be > 0")
 
     chains = doc.get("chains", 10000)
-    if not isinstance(chains, int) or chains < 1:
-        raise ConfigError("chains must be a positive integer")
+    if not isinstance(chains, int) or chains < 2:
+        raise ConfigError("chains must be an integer >= 2")
     record_every = doc.get("record_every", 1)
     if not isinstance(record_every, int) or record_every < 1:
         raise ConfigError("record_every must be a positive integer")
     if steps is not None and record_every > steps:
         raise ConfigError("record_every must not exceed steps")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     metric = doc.get("metric", "w2_gaussian")
     if metric not in METRICS:
         raise ConfigError(f"metric must be one of {', '.join(METRICS)}")
@@ -224,15 +230,23 @@ def parse_config(text: str) -> ExperimentSpec:
     elif ref_doc["type"] == "benchmark_run":
         _check_keys(ref_doc, {"type", "kind", "gamma", "step", "horizon", "chains"}, "reference")
         reference = "benchmark_run"
-        benchmark = BenchmarkSpec(
-            kind=ref_doc.get("kind", "uld_klmc"),
-            gamma=float(ref_doc.get("gamma", 2.0)),
-            step=float(ref_doc.get("step", 0.0005)),
-            horizon=ref_doc.get("horizon"),
-            chains=ref_doc.get("chains"),
+        if metric == "chi2_hist":
+            raise ConfigError("reference.type benchmark_run supports w2_gaussian and mean_error only")
+        config = _sampler_config(
+            "reference",
+            kind=ref_doc.get("kind", BenchmarkSpec.kind),
+            step=ref_doc.get("step", BenchmarkSpec.step),
+            gamma=ref_doc.get("gamma", BenchmarkSpec.gamma),
         )
-        if benchmark.step <= 0:
-            raise ConfigError("reference.step must be > 0")
+        ref_horizon = ref_doc.get("horizon")
+        if ref_horizon is not None and not _positive_number(ref_horizon):
+            raise ConfigError("reference.horizon must be > 0")
+        ref_chains = ref_doc.get("chains")
+        if ref_chains is not None and (not isinstance(ref_chains, int) or ref_chains < 1):
+            raise ConfigError("reference.chains must be a positive integer")
+        benchmark = BenchmarkSpec(
+            kind=config.kind, gamma=config.gamma, step=config.step, horizon=ref_horizon, chains=ref_chains
+        )
     else:
         raise ConfigError("reference.type must be 'closed_form' or 'benchmark_run'")
 
@@ -240,11 +254,15 @@ def parse_config(text: str) -> ExperimentSpec:
     if not isinstance(init_doc, dict):
         raise ConfigError("init must be an object")
     _check_keys(init_doc, {"q", "p", "q_std", "p_std"}, "init")
+    stds = {key: init_doc.get(key, 0.0) for key in ("q_std", "p_std")}
+    for key, value in stds.items():
+        if not (_number(value) and value >= 0):
+            raise ConfigError(f"init.{key} must be a number >= 0")
     init = InitSpec(
         q=init_doc.get("q", 1.0),
         p=init_doc.get("p", 0.0),
-        q_std=float(init_doc.get("q_std", 0.0)),
-        p_std=float(init_doc.get("p_std", 0.0)),
+        q_std=float(stds["q_std"]),
+        p_std=float(stds["p_std"]),
     )
 
     hist_doc = doc.get("histogram", {})
@@ -254,6 +272,12 @@ def parse_config(text: str) -> ExperimentSpec:
     bins = hist_doc.get("bins", 50)
     if not isinstance(bins, int) or bins < 2:
         raise ConfigError("histogram.bins must be an integer >= 2")
+    lo, hi = hist_doc.get("lo"), hist_doc.get("hi")
+    for key, value in (("lo", lo), ("hi", hi)):
+        if value is not None and not _number(value):
+            raise ConfigError(f"histogram.{key} must be a number")
+    if lo is not None and hi is not None and lo >= hi:
+        raise ConfigError("histogram.lo must be < histogram.hi")
 
     spec = ExperimentSpec(
         potential_name=name,
@@ -268,11 +292,16 @@ def parse_config(text: str) -> ExperimentSpec:
         reference=reference,
         benchmark=benchmark,
         init=init,
-        hist_lo=hist_doc.get("lo"),
-        hist_hi=hist_doc.get("hi"),
+        hist_lo=lo,
+        hist_hi=hi,
         hist_bins=bins,
     )
-    spec.model()  # validates potential params eagerly
+    dim = spec.model().dim  # validates potential params eagerly
+    for key in ("q", "p"):
+        value = getattr(init, key)
+        values = value if isinstance(value, list) else [value]
+        if len(values) not in (1, dim) or not all(_number(v) for v in values):
+            raise ConfigError(f"init.{key} must be a number or a list of {dim} numbers")
     return spec
 
 
@@ -288,7 +317,7 @@ def _init_block(spec: ExperimentSpec, dim: int, n: int, rng: RandomSource) -> Ch
 
 @dataclass
 class _BlockResult:
-    sums: list  # per record step: (n, sum_q, sum_qq) or samples
+    sums: list  # per record step, in order: (n, sum_q, sum_qq) or samples
     grad_evals: int
     diverged_at: Optional[int]
 
@@ -305,45 +334,21 @@ def _run_block(
 ):
     rng = RandomSource(spec.seed, stream)
     state = _init_block(spec, model.dim, n, rng)
-    counter = {"evals": 0}
-    grad = model.grad
-
-    def counting_grad(x):
-        counter["evals"] += np.shape(x)[0]
-        return grad(x)
-
-    counted = PotentialModel(
-        name=model.name,
-        dim=model.dim,
-        eval=model.eval,
-        grad=counting_grad,
-        smoothness=model.smoothness,
-        strong_convexity=model.strong_convexity,
-        poincare=model.poincare,
-        third_deriv_growth=model.third_deriv_growth,
-    )
-    stepper = make_stepper(counted, config)
     record_set = set(record_steps)
     out = []
 
-    def snapshot(step_idx):
-        if keep_samples:
-            out.append((step_idx, state.q.copy()))
-        else:
-            out.append(
-                (step_idx, n, state.q.sum(axis=0), state.q.T @ state.q)
-            )
+    def snapshot(state):
+        out.append(state.q.copy() if keep_samples else (n, state.q.sum(axis=0), state.q.T @ state.q))
 
-    if 0 in record_set:
-        snapshot(0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            state = stepper(state, rng)
-            if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
-                return _BlockResult(sums=out, grad_evals=counter["evals"], diverged_at=k)
+    snapshot(state)  # step 0 is always a record step
+    # every kernel makes one gradient call per step, on all n chains
+    try:
+        for k, state in iterate_chain(state, make_stepper(model, config), steps, rng):
             if k in record_set:
-                snapshot(k)
-    return _BlockResult(sums=out, grad_evals=counter["evals"], diverged_at=None)
+                snapshot(state)
+    except DivergenceError as exc:
+        return _BlockResult(sums=out, grad_evals=n * exc.step, diverged_at=exc.step)
+    return _BlockResult(sums=out, grad_evals=n * steps, diverged_at=None)
 
 
 def _target_density_1d(model: PotentialModel) -> Callable:
@@ -412,17 +417,18 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
     steps = max(1, int(round(horizon / bench.step)))
     rng = RandomSource(spec.seed, 900_000)
     state = _init_block(spec, model.dim, chains, rng)
-    stepper = make_stepper(model, config)
     acc_q = np.zeros(model.dim)
     acc_qq = np.zeros((model.dim, model.dim))
     count = 0
     start = steps // 2
-    for k in range(1, steps + 1):
-        state = stepper(state, rng)
-        if k > start:
-            acc_q += state.q.mean(axis=0)
-            acc_qq += state.q.T @ state.q / state.q.shape[0]
-            count += 1
+    try:
+        for k, state in iterate_chain(state, make_stepper(model, config), steps, rng):
+            if k > start:
+                acc_q += state.q.mean(axis=0)
+                acc_qq += state.q.T @ state.q / state.q.shape[0]
+                count += 1
+    except DivergenceError as exc:
+        raise ConfigError(f"reference run diverged at step {exc.step}") from exc
     mean = acc_q / count
     second = acc_qq / count
     cov = second - np.outer(mean, mean)
@@ -468,12 +474,7 @@ def run_experiment(
         reference = _closed_form_reference(spec, model)
     else:
         summary = _benchmark_reference(spec, model, cache_dir)
-        if spec.metric == "mean_error":
-            reference = summary.mean
-        elif spec.metric == "w2_gaussian":
-            reference = summary
-        else:
-            raise ConfigError("benchmark_run reference supports w2_gaussian and mean_error")
+        reference = summary.mean if spec.metric == "mean_error" else summary
     keep_samples = spec.metric == "chi2_hist"
 
     rows = []
@@ -510,27 +511,22 @@ def run_experiment(
         first_bad = min(bad_steps) if bad_steps else None
         diverged[config_id] = first_bad
 
-        # merge, in block order, the record steps present in every block
-        usable = [
-            k
-            for k in record_steps
-            if all(any(s[0] == k for s in b.sums) for b in blocks)
-        ]
-        for k in usable:
+        # every block records a prefix of record_steps; merge, in block
+        # order, the records present in every block
+        usable = record_steps[: min(len(b.sums) for b in blocks)]
+        for i, k in enumerate(usable):
             # snapshots just before a blow-up can overflow the metric; the
             # row is flagged, so an inf value is fine
             with np.errstate(over="ignore", invalid="ignore"):
                 if keep_samples:
-                    samples = np.concatenate(
-                        [next(s[1] for s in b.sums if s[0] == k) for b in blocks]
-                    ).ravel()
+                    samples = np.concatenate([b.sums[i] for b in blocks]).ravel()
                     value, stderr = _metric_value(spec, reference, None, None, None, samples)
                 else:
                     n_total = 0
                     sum_q = np.zeros(model.dim)
                     sum_qq = np.zeros((model.dim, model.dim))
                     for b in blocks:
-                        _, n, sq, sqq = next(s for s in b.sums if s[0] == k)
+                        n, sq, sqq = b.sums[i]
                         n_total += n
                         sum_q = sum_q + sq
                         sum_qq = sum_qq + sqq
@@ -592,13 +588,12 @@ def sweep_iteration_complexity(
         )
         if np.linalg.norm(state.q.mean(axis=0) - target) <= eps:
             return 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, limit + 1):
-                state = stepper(state, rng)
-                if not np.all(np.isfinite(state.q)):
-                    return None
+        try:
+            for k, state in iterate_chain(state, stepper, limit, rng):
                 if np.linalg.norm(state.q.mean(axis=0) - target) <= eps:
                     return k
+        except DivergenceError:
+            pass
         return None
 
     table = []
@@ -639,30 +634,31 @@ CSV_HEADER = "config_id,step,time,metric,value,stderr,flag"
 
 
 def write_csv(series: ResultSeries, path: str) -> None:
-    """Emit rows as CSV with round-trip decimal formatting."""
-    lines = [CSV_HEADER]
-    for r in series.rows:
-        stderr = "" if r.stderr is None else repr(float(r.stderr))
-        lines.append(
-            f"{r.config_id},{r.step},{repr(float(r.time))},{series.metric},"
-            f"{repr(float(r.value))},{stderr},{r.flag}"
-        )
+    """Emit rows as CSV with round-trip decimal formatting.
+
+    Fields are quoted only where needed (an id holding ',' or '"')."""
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_HEADER.split(","))
+            for r in series.rows:
+                stderr = "" if r.stderr is None else repr(float(r.stderr))
+                writer.writerow(
+                    [r.config_id, r.step, repr(float(r.time)), series.metric,
+                     repr(float(r.value)), stderr, r.flag]
+                )
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
 def read_csv(path: str) -> list:
     """Round-trip parser for files produced by write_csv."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    if not lines or lines[0] != CSV_HEADER.split(","):
         raise ValueError(f"{path} is not a result CSV")
     out = []
-    for line in lines[1:]:
-        cid, step, time, metric, value, stderr, flag = line.split(",")
+    for cid, step, time, metric, value, stderr, flag in lines[1:]:
         out.append(
             ResultRow(
                 config_id=cid,
@@ -756,7 +752,7 @@ def write_svg_plot(series: ResultSeries, style: str, path: str, title: str = "")
         'fill="none" stroke="black"/>',
     ]
     if title:
-        parts.append(f'<text x="{ml}" y="{mt - 10}">{title}</text>')
+        parts.append(f'<text x="{ml}" y="{mt - 10}">{html.escape(title, quote=False)}</text>')
 
     x_ticks = _ticks_decades(all_x.min(), all_x.max()) if logx else _ticks_linear(all_x.min(), all_x.max())
     y_ticks = _ticks_decades(all_y.min(), all_y.max()) if logy else _ticks_linear(all_y.min(), all_y.max())
@@ -781,7 +777,7 @@ def write_svg_plot(series: ResultSeries, style: str, path: str, title: str = "")
         ly = mt + 15 + 16 * i
         lx = ml + plot_w + 10
         parts.append(f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 18:.2f}" y2="{ly - 4:.2f}" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{lx + 24:.2f}" y="{ly:.2f}">{cid}</text>')
+        parts.append(f'<text x="{lx + 24:.2f}" y="{ly:.2f}">{html.escape(cid, quote=False)}</text>')
     parts.append("</svg>")
     try:
         with open(path, "w", newline="\n") as fh:

@@ -18,20 +18,22 @@ Four kernels are provided:
 
 All kernels are pure functions of (state, rng) and broadcast over leading
 axes of the state arrays, so a batch of chains steps as one call.
+``KERNELS`` maps each kind to the factory of its step, ``make_stepper``
+builds that step, and ``iterate_chain`` is the one loop that applies it and
+stops a chain that leaves the finite floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from numbers import Real
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .potentials import PotentialModel
 from .rng import RandomSource
-
-KINDS = ("hfhr_strang", "uld_klmc", "ula", "hfhr_em")
 
 
 class DivergenceError(RuntimeError):
@@ -56,6 +58,11 @@ class ChainState:
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Kernel kind and its parameters; every field rule of a sampler lives here.
+
+    The numeric fields are stored as floats.
+    """
+
     kind: str
     step: float
     gamma: float = 1.0
@@ -63,10 +70,15 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown sampler kind '{self.kind}'; valid: {KINDS}")
+            raise ValueError(f"kind must be one of {', '.join(KINDS)}")
+        for name in ("step", "gamma", "alpha"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number")
+            object.__setattr__(self, name, float(value))
         if self.step <= 0:
             raise ValueError("step must be > 0")
-        if self.kind != "ula" and self.gamma <= 0:
+        if KERNELS[self.kind] is not _ula and self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
@@ -129,16 +141,22 @@ def phi_kernel(gamma: float, t: float) -> PhiFlowKernel:
     )
 
 
+def _ou(q, p, kernel: PhiFlowKernel, rng):
+    z = rng.normals((2,) + np.shape(q))
+    m = kernel.chol
+    return q + kernel.drift * p + m[0, 0] * z[0], kernel.decay * p + m[1, 0] * z[0] + m[1, 1] * z[1]
+
+
+def _psi(q, p, g, eta, alpha: float, h: float, noise_scale: float):
+    return q - alpha * h * g + noise_scale * eta, p - h * g
+
+
 def phi_half_step(state: ChainState, kernel: PhiFlowKernel, rng) -> ChainState:
     """Exact-in-distribution OU substep; draws 2 normals per coordinate.
 
     The noise pairs (q_i, p_i) per coordinate i through the 2x2 factor.
     """
-    z = rng.normals((2,) + np.shape(state.q))
-    m = kernel.chol
-    q = state.q + kernel.drift * state.p + m[0, 0] * z[0]
-    p = kernel.decay * state.p + m[1, 0] * z[0] + m[1, 1] * z[1]
-    return ChainState(q=q, p=p)
+    return ChainState(*_ou(state.q, state.p, kernel, rng))
 
 
 def psi_tilde_step(
@@ -153,85 +171,116 @@ def psi_tilde_step(
         raise ValueError("h must be > 0")
     g = model.grad(state.q)
     eta = rng.normals(np.shape(state.q))
-    q = state.q - alpha * h * g + math.sqrt(2.0 * alpha * h) * eta
-    p = state.p - h * g
-    return ChainState(q=q, p=p)
+    return ChainState(*_psi(state.q, state.p, g, eta, alpha, h, math.sqrt(2.0 * alpha * h)))
 
 
-def hfhr_step(state: ChainState, model: PotentialModel, config: SamplerConfig, rng) -> ChainState:
-    if config.kind != "hfhr_strang":
-        raise ValueError("hfhr_step requires kind 'hfhr_strang'")
+def _hfhr_strang(model: PotentialModel, config: SamplerConfig):
     kernel = phi_kernel(config.gamma, 0.5 * config.step)
-    s = phi_half_step(state, kernel, rng)
-    s = psi_tilde_step(s, model, config.alpha, config.step, rng)
-    return phi_half_step(s, kernel, rng)
+    alpha, h = config.alpha, config.step
+    noise_scale = math.sqrt(2.0 * alpha * h)
+
+    def step(state, rng):
+        q, p = _ou(state.q, state.p, kernel, rng)
+        # g and eta stay referenced until the step returns: freed before the
+        # second OU substep allocates, they leave the heap top free, and glibc
+        # trims and re-faults it every step (about 3x the page faults per
+        # step at 1000 x 100 chains)
+        g = model.grad(q)
+        eta = rng.normals(np.shape(q))
+        q, p = _psi(q, p, g, eta, alpha, h, noise_scale)
+        return ChainState(*_ou(q, p, kernel, rng))
+
+    return step
 
 
-def uld_step(state: ChainState, model: PotentialModel, config: SamplerConfig, rng) -> ChainState:
+def _uld_klmc(model: PotentialModel, config: SamplerConfig):
     """First-order KLMC: exact OU transition with the gradient frozen at q0."""
-    if config.kind != "uld_klmc":
-        raise ValueError("uld_step requires kind 'uld_klmc'")
     h = config.step
     kernel = phi_kernel(config.gamma, h)
     c1 = kernel.drift
     c2 = (h - c1) / config.gamma
-    g = model.grad(state.q)
-    z = rng.normals((2,) + np.shape(state.q))
     m = kernel.chol
-    q = state.q + c1 * state.p - c2 * g + m[0, 0] * z[0]
-    p = kernel.decay * state.p - c1 * g + m[1, 0] * z[0] + m[1, 1] * z[1]
-    return ChainState(q=q, p=p)
+
+    def step(state, rng):
+        g = model.grad(state.q)
+        z = rng.normals((2,) + np.shape(state.q))
+        q = state.q + c1 * state.p - c2 * g + m[0, 0] * z[0]
+        p = kernel.decay * state.p - c1 * g + m[1, 0] * z[0] + m[1, 1] * z[1]
+        return ChainState(q=q, p=p)
+
+    return step
 
 
-def ula_step(state: ChainState, model: PotentialModel, config: SamplerConfig, rng) -> ChainState:
-    if config.kind != "ula":
-        raise ValueError("ula_step requires kind 'ula'")
+def _ula(model: PotentialModel, config: SamplerConfig):
     h = config.step
-    g = model.grad(state.q)
-    eta = rng.normals(np.shape(state.q))
-    q = state.q - h * g + math.sqrt(2.0 * h) * eta
-    return ChainState(q=q, p=state.p)
+    noise_scale = math.sqrt(2.0 * h)
+
+    def step(state, rng):
+        g = model.grad(state.q)
+        eta = rng.normals(np.shape(state.q))
+        return ChainState(q=state.q - h * g + noise_scale * eta, p=state.p)
+
+    return step
 
 
-def em_hfhr_step(state: ChainState, model: PotentialModel, config: SamplerConfig, rng) -> ChainState:
-    if config.kind != "hfhr_em":
-        raise ValueError("em_hfhr_step requires kind 'hfhr_em'")
+def _hfhr_em(model: PotentialModel, config: SamplerConfig):
     h, alpha, gamma = config.step, config.alpha, config.gamma
-    g = model.grad(state.q)
-    eta = rng.normals(np.shape(state.q))
-    xi = rng.normals(np.shape(state.q))
-    q = state.q + (state.p - alpha * g) * h + math.sqrt(2.0 * alpha * h) * eta
-    p = state.p - (gamma * state.p + g) * h + math.sqrt(2.0 * gamma * h) * xi
-    return ChainState(q=q, p=p)
+    q_scale = math.sqrt(2.0 * alpha * h)
+    p_scale = math.sqrt(2.0 * gamma * h)
+
+    def step(state, rng):
+        g = model.grad(state.q)
+        eta = rng.normals(np.shape(state.q))
+        xi = rng.normals(np.shape(state.q))
+        q = state.q + (state.p - alpha * g) * h + q_scale * eta
+        p = state.p - (gamma * state.p + g) * h + p_scale * xi
+        return ChainState(q=q, p=p)
+
+    return step
+
+
+# kind -> factory that precomputes the kernel's constants once and returns
+# its (state, rng) -> state step; every step makes exactly one gradient call
+KERNELS = {"hfhr_strang": _hfhr_strang, "uld_klmc": _uld_klmc, "ula": _ula, "hfhr_em": _hfhr_em}
+KINDS = tuple(KERNELS)
 
 
 def make_stepper(
     model: PotentialModel, config: SamplerConfig
 ) -> Callable[[ChainState, object], ChainState]:
-    """Bind model and config into a (state, rng) -> state closure.
+    """Bind model and config into the kind's precomputed (state, rng) -> state step."""
+    return KERNELS[config.kind](model, config)
 
-    Substep kernels are precomputed once, which matters in long loops.
+
+def _single_step(factory):
+    def step(state: ChainState, model: PotentialModel, config: SamplerConfig, rng) -> ChainState:
+        if KERNELS[config.kind] is not factory:
+            raise ValueError(f"kind '{config.kind}' is not the kind of this kernel")
+        return factory(model, config)(state, rng)
+
+    return step
+
+
+hfhr_step = _single_step(_hfhr_strang)
+uld_step = _single_step(_uld_klmc)
+ula_step = _single_step(_ula)
+em_hfhr_step = _single_step(_hfhr_em)
+
+
+def iterate_chain(state: ChainState, stepper, steps: int, rng) -> Iterator[tuple[int, ChainState]]:
+    """Apply ``stepper`` ``steps`` times, yielding (index, state) after each.
+
+    Any non-finite coordinate raises a DivergenceError naming the step;
+    stability-limit experiments probe blow-up on purpose.  Blow-up is
+    detected here, so numpy's overflow warnings are silenced while the
+    loop (the caller's body included) runs.
     """
-    if config.kind == "hfhr_strang":
-        kernel = phi_kernel(config.gamma, 0.5 * config.step)
-        alpha, h = config.alpha, config.step
-        noise_scale = math.sqrt(2.0 * alpha * h)
-
-        def step(state, rng):
-            s = phi_half_step(state, kernel, rng)
-            g = model.grad(s.q)
-            eta = rng.normals(np.shape(s.q))
-            s = ChainState(
-                q=s.q - alpha * h * g + noise_scale * eta, p=s.p - h * g
-            )
-            return phi_half_step(s, kernel, rng)
-
-        return step
-    if config.kind == "uld_klmc":
-        return lambda state, rng: uld_step(state, model, config, rng)
-    if config.kind == "ula":
-        return lambda state, rng: ula_step(state, model, config, rng)
-    return lambda state, rng: em_hfhr_step(state, model, config, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            state = stepper(state, rng)
+            if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
+                raise DivergenceError(k)
+            yield k, state
 
 
 def simulate_chain(
@@ -244,28 +293,22 @@ def simulate_chain(
 ) -> ChainState:
     """Apply the configured kernel ``steps`` times.
 
-    The observer is invoked after each step with (index, state).  Any
-    non-finite coordinate aborts with a DivergenceError naming the step;
-    stability-limit experiments probe blow-up on purpose.
+    The observer is invoked after each step with (index, state); a
+    DivergenceError from ``iterate_chain`` propagates.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if np.shape(init.q)[-1] != model.dim:
         raise ValueError("state dimension does not match the potential")
-    stepper = make_stepper(model, config)
     state = init
-    # blow-up is detected explicitly, so numpy's overflow chatter is noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            state = stepper(state, rng)
-            if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
-                raise DivergenceError(k)
-            if observer is not None:
-                observer(k, state)
+    for k, state in iterate_chain(init, make_stepper(model, config), steps, rng):
+        if observer is not None:
+            observer(k, state)
     return state
 
 
 __all__ = [
+    "KERNELS",
     "KINDS",
     "ChainState",
     "SamplerConfig",
@@ -281,5 +324,6 @@ __all__ = [
     "ula_step",
     "em_hfhr_step",
     "make_stepper",
+    "iterate_chain",
     "simulate_chain",
 ]

@@ -110,3 +110,35 @@ class TestExperiment:
         )
         assert code == 3
         assert "diverged" in err
+
+    def test_diverging_reference_is_config_error(self, tmp_path, capsys):
+        # ula at h=5 on a unit quadratic multiplies q by -4 per step
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "a", "kind": "ula", "step": 0.1}],
+            "chains": 100,
+            "horizon": 1.0,
+            "metric": "mean_error",
+            "reference": {"type": "benchmark_run", "kind": "ula", "step": 5.0, "horizon": 5000.0, "chains": 100},
+        }
+        cfg = tmp_path / "ref.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(out_dir))
+        assert code == 2
+        assert "reference run diverged at step" in err
+        assert not list((out_dir / "cache").glob("*"))
+        assert not (out_dir / "results.csv").exists()
+
+    def test_single_chain_is_config_error(self, tmp_path, capsys):
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "a", "kind": "ula", "step": 0.1}],
+            "chains": 1,
+            "steps": 3,
+        }
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert "chains must be an integer >= 2" in err

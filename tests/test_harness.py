@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -88,6 +90,66 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{nope")
 
+    def test_sampler_fields_checked_by_sampler_config(self):
+        for field, value, message in (
+            ("kind", "nope", "sampler[0].kind must be one of hfhr_strang"),
+            ("step", "x", "sampler[0].step must be a finite number"),
+            ("gamma", 0.0, "sampler[0].gamma must be > 0"),
+            ("alpha", -1.0, "sampler[0].alpha must be >= 0"),
+        ):
+            doc = minimal_doc()
+            doc["sampler"][0][field] = value
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_config(json.dumps(doc))
+
+    def test_init_and_histogram_fields_checked(self):
+        for overrides, message in (
+            ({"init": {"q": [1.0, 2.0]}}, "init.q must be a number or a list of 1 numbers"),
+            ({"init": {"p": "x"}}, "init.p must be a number or a list of 1 numbers"),
+            ({"init": {"q_std": -1.0}}, "init.q_std must be a number >= 0"),
+            ({"histogram": {"lo": "a", "hi": 1.0}}, "histogram.lo must be a number"),
+            ({"histogram": {"lo": 2.0, "hi": 1.0}}, "histogram.lo must be < histogram.hi"),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_config(json.dumps(minimal_doc(metric="chi2_hist", **overrides)))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            parse_config(json.dumps(minimal_doc(seed=-1)))
+
+    def test_single_chain_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("chains must be an integer >= 2")):
+            parse_config(json.dumps(minimal_doc(chains=1)))
+
+    @staticmethod
+    def reference_doc(**fields):
+        return minimal_doc(metric="mean_error", reference={"type": "benchmark_run", **fields})
+
+    def test_reference_kind_checked(self):
+        with pytest.raises(ConfigError, match=re.escape("reference.kind must be one of")):
+            parse_config(json.dumps(self.reference_doc(kind="nope")))
+
+    def test_reference_horizon_checked(self):
+        for horizon in ("x", 0.0, -2.0):
+            with pytest.raises(ConfigError, match=re.escape("reference.horizon must be > 0")):
+                parse_config(json.dumps(self.reference_doc(horizon=horizon)))
+
+    def test_reference_gamma_checked(self):
+        with pytest.raises(ConfigError, match=re.escape("reference.gamma must be a finite number")):
+            parse_config(json.dumps(self.reference_doc(gamma="x")))
+        with pytest.raises(ConfigError, match=re.escape("reference.gamma must be > 0")):
+            parse_config(json.dumps(self.reference_doc(gamma=-1.0)))
+
+    def test_reference_chains_checked(self):
+        for chains in (0, 2.5, "x"):
+            with pytest.raises(ConfigError, match=re.escape("reference.chains must be a positive integer")):
+                parse_config(json.dumps(self.reference_doc(chains=chains)))
+
+    def test_chi2_hist_with_benchmark_reference_rejected(self):
+        doc = minimal_doc(metric="chi2_hist", reference={"type": "benchmark_run"})
+        with pytest.raises(ConfigError, match="benchmark_run supports w2_gaussian and mean_error"):
+            parse_config(json.dumps(doc))
+
 
 def small_spec(**overrides):
     doc = minimal_doc(
@@ -116,6 +178,31 @@ class TestRunExperiment:
         series = run_experiment(spec)
         steps = spec.steps_for(spec.samplers[0][1])
         assert series.grad_evals["hfhr"] == 500 * steps
+
+    def test_gradient_count_of_diverging_blocks(self, monkeypatch):
+        # two blocks (1000 + 500 chains) that blow up on their own steps:
+        # each block is charged its chains times the step it diverged at
+        rows = {"n": 0}
+        original = harness.builtin_potential
+
+        def counted(*args, **kwargs):
+            model = original(*args, **kwargs)
+
+            def grad(q):
+                rows["n"] += np.shape(q)[0]
+                return model.grad(q)
+
+            return dataclasses.replace(model, grad=grad)
+
+        monkeypatch.setattr(harness, "builtin_potential", counted)
+        doc = minimal_doc(chains=1500, steps=800, record_every=100)
+        del doc["horizon"]
+        doc["sampler"] = [{"id": "blowup", "kind": "hfhr_strang", "alpha": 1.0, "gamma": 2.0, "step": 4.0}]
+        series = run_experiment(parse_config(json.dumps(doc)))
+        first_bad = series.diverged["blowup"]
+        assert first_bad is not None
+        assert series.grad_evals["blowup"] == rows["n"]
+        assert 1500 * first_bad <= rows["n"] < 1500 * 800
 
     def test_w2_decay_on_standard_gaussian(self):
         # 1D standard Gaussian, gamma=2, alpha=1, h=0.1, horizon 5:
@@ -259,6 +346,18 @@ class TestCsv:
             assert parsed.stderr == orig.stderr
             assert parsed.flag == orig.flag
 
+    def test_round_trip_of_ids_needing_quotes(self, tmp_path):
+        ids = ['a,b', 'say "hi"', "<x & y>", "plain"]
+        rows = [
+            harness.ResultRow(config_id=cid, step=1, time=0.5, value=0.25, stderr=None, flag="")
+            for cid in ids
+        ]
+        series = harness.ResultSeries(metric="w2_gaussian", rows=rows, grad_evals={}, diverged={})
+        path = tmp_path / "quoted.csv"
+        write_csv(series, str(path))
+        assert [r.config_id for r in read_csv(str(path))] == ids
+        assert path.read_text().splitlines()[-1] == "plain,1,0.5,w2_gaussian,0.25,,"
+
     def test_io_error_carries_path(self):
         series = harness.ResultSeries(metric="m", rows=[], grad_evals={}, diverged={})
         with pytest.raises(OSError, match="/nonexistent"):
@@ -285,6 +384,14 @@ class TestSvg:
         assert text.count("<polyline") == 2
         assert ">a</text>" in text and ">b</text>" in text
         assert "xlink" not in text and "href" not in text  # no external assets
+
+    def test_ids_and_title_are_escaped(self, tmp_path):
+        cid = 'a,"b" <c> & d'
+        series = series_from({cid: [(0.0, 1.0), (1.0, 0.5)]})
+        path = tmp_path / "escaped.svg"
+        write_svg_plot(series, "linear", str(path), title="<w2> & more")
+        texts = [el.text for el in ET.fromstring(path.read_text()).iter("{http://www.w3.org/2000/svg}text")]
+        assert cid in texts and "<w2> & more" in texts
 
     def test_semilog_straightens_exponential(self, tmp_path):
         ts = np.linspace(0.0, 5.0, 11)

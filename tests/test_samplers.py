@@ -11,12 +11,17 @@ from hfhr.analysis import (
 )
 from hfhr.potentials import builtin_potential
 from hfhr.rng import RandomSource, ZeroNoise
+from hfhr import samplers
 from hfhr.samplers import (
+    KERNELS,
+    KINDS,
     ChainState,
     DivergenceError,
     SamplerConfig,
     em_hfhr_step,
     hfhr_step,
+    iterate_chain,
+    make_stepper,
     phi_covariance,
     phi_half_step,
     phi_kernel,
@@ -419,6 +424,75 @@ class TestSimulateChain:
             assert calls["n"] == 20, kind
 
 
+class TestRegistry:
+    PUBLIC = {"hfhr_strang": hfhr_step, "uld_klmc": uld_step, "ula": ula_step, "hfhr_em": em_hfhr_step}
+
+    def test_kinds_come_from_the_registry(self):
+        assert KINDS == tuple(KERNELS) == tuple(self.PUBLIC)
+
+    def test_public_steps_match_built_steppers_bit_exact(self):
+        state = ChainState(q=np.array([[0.3, -1.0]]), p=np.array([[0.2, 0.7]]))
+        model = builtin_potential("quadratic_iso", m=1.0, d=2)
+        for kind, public in self.PUBLIC.items():
+            config = SamplerConfig(kind=kind, step=0.2, gamma=2.0, alpha=0.5)
+            a = public(state, model, config, RandomSource(5, 0))
+            b = make_stepper(model, config)(state, RandomSource(5, 0))
+            np.testing.assert_array_equal(a.q, b.q)
+            np.testing.assert_array_equal(a.p, b.p)
+
+    def test_public_step_rejects_other_kinds(self):
+        config = SamplerConfig(kind="ula", step=0.1)
+        state = ChainState(q=np.array([1.0]), p=np.array([0.0]))
+        with pytest.raises(ValueError, match="kind 'ula'"):
+            hfhr_step(state, F1, config, RandomSource(0, 0))
+
+    def test_built_step_precomputes_its_kernel(self, monkeypatch):
+        calls = {"phi": 0, "states": 0}
+        original_kernel, original_state = samplers.phi_kernel, samplers.ChainState
+
+        def counting_kernel(*args):
+            calls["phi"] += 1
+            return original_kernel(*args)
+
+        class CountingState(original_state):
+            def __post_init__(self):
+                calls["states"] += 1
+                super().__post_init__()
+
+        monkeypatch.setattr(samplers, "phi_kernel", counting_kernel)
+        monkeypatch.setattr(samplers, "ChainState", CountingState)
+        state = original_state(q=np.array([1.0]), p=np.array([0.0]))
+        for kind in ("hfhr_strang", "uld_klmc"):
+            calls.update(phi=0, states=0)
+            step = make_stepper(F1, SamplerConfig(kind=kind, step=0.1, gamma=2.0, alpha=1.0))
+            for _ in range(5):
+                state = step(state, RandomSource(0, 0))
+            assert calls == {"phi": 1, "states": 5}, kind
+
+
+class TestIterateChain:
+    def test_non_finite_momentum_is_divergence(self):
+        def step(state, rng):
+            return ChainState(q=state.q, p=state.p * 1e300 * 1e300)
+
+        state = ChainState(q=np.array([1.0]), p=np.array([1.0]))
+        with pytest.raises(DivergenceError) as info:
+            for _ in iterate_chain(state, step, 10, None):
+                pass
+        assert info.value.step == 1
+
+    def test_yields_each_step_and_stops_early(self):
+        step = make_stepper(F1, SamplerConfig(kind="ula", step=0.1))
+        init = ChainState(q=np.array([1.0]), p=np.array([0.0]))
+        seen = []
+        for k, state in iterate_chain(init, step, 100, RandomSource(0, 0)):
+            seen.append(k)
+            if k == 3:
+                break
+        assert seen == [1, 2, 3]
+        assert list(iterate_chain(init, step, 0, RandomSource(0, 0))) == []
+
+
 class TestRandomSource:
     def test_same_seed_same_stream(self):
         a = RandomSource(12345, 3).normals(16)
@@ -452,6 +526,18 @@ class TestSamplerConfigValidation:
             SamplerConfig(kind="uld_klmc", step=0.1, gamma=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(kind="hfhr_strang", step=0.1, gamma=1.0, alpha=-1.0)
+
+    def test_non_numeric_and_non_finite_fields(self):
+        for bad in ("0.1", None, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step must be a finite number"):
+                SamplerConfig(kind="ula", step=bad)
+
+    def test_fields_stored_as_floats(self):
+        config = SamplerConfig(kind="hfhr_em", step=1, gamma=2, alpha=0)
+        assert all(type(v) is float for v in (config.step, config.gamma, config.alpha))
+
+    def test_ula_ignores_gamma_sign(self):
+        assert SamplerConfig(kind="ula", step=0.1, gamma=0.0).gamma == 0.0
 
     def test_state_shape_mismatch(self):
         with pytest.raises(ValueError):
