@@ -11,7 +11,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm, solve_discrete_lyapunov
-from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,7 @@ def optimal_alpha(b1: float, b2: float, gamma: float) -> float:
     """
     if b1 <= 0 or b2 <= 0 or gamma <= 0:
         raise ValueError("b1, b2 and gamma must be > 0")
+    from scipy.optimize import brentq  # on demand: importing scipy.optimize costs ~20 MB
 
     def cubic(a):
         return b1 * a**3 + 3.0 * b1 * a * a / gamma - 2.0 * b2

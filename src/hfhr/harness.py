@@ -14,17 +14,18 @@ import html
 import json
 import math
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analysis import GaussianSummary
 from .metrics import chi2_histogram, mean_error, w2_gaussian
-from .potentials import VALID_POTENTIALS, PotentialModel, builtin_potential
+from .potentials import POTENTIAL_PARAMS, VALID_POTENTIALS, PotentialModel, builtin_potential
 from .rng import RandomSource
 from .samplers import ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
 
@@ -179,6 +180,10 @@ def parse_config(text: str) -> ExperimentSpec:
     params = pot.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("potential.params must be an object")
+    _check_keys(params, set(POTENTIAL_PARAMS[name]), "potential.params")
+    for key, value in params.items():
+        if not _number(value):
+            raise ConfigError(f"potential.params.{key} must be a number")
 
     samplers_doc = doc.get("sampler")
     if not isinstance(samplers_doc, list) or not samplers_doc:
@@ -296,7 +301,10 @@ def parse_config(text: str) -> ExperimentSpec:
         hist_hi=hi,
         hist_bins=bins,
     )
-    dim = spec.model().dim  # validates potential params eagerly
+    try:
+        dim = spec.model().dim  # validates potential params eagerly
+    except ValueError as exc:
+        raise ConfigError(f"potential.params.{exc}") from exc
     for key in ("q", "p"):
         value = getattr(init, key)
         values = value if isinstance(value, list) else [value]
@@ -352,6 +360,8 @@ def _run_block(
 
 
 def _target_density_1d(model: PotentialModel) -> Callable:
+    from scipy.integrate import quad  # on demand: it loads scipy.optimize too, ~24 MB
+
     norm, _ = quad(lambda x: math.exp(-float(model.eval(np.array([x])))), -40.0, 40.0, limit=400)
 
     def density(xs):
@@ -381,8 +391,13 @@ def _closed_form_reference(spec: ExperimentSpec, model: PotentialModel):
     return _target_density_1d(model)
 
 
+# bump when the cached summary's meaning or layout changes: old files then miss
+BENCHMARK_CACHE_FORMAT = 1
+
+
 def _benchmark_key(spec: ExperimentSpec) -> str:
     payload = {
+        "format": BENCHMARK_CACHE_FORMAT,
         "potential": [spec.potential_name, spec.potential_params],
         "benchmark": [
             spec.benchmark.kind,
@@ -434,8 +449,16 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
     cov = second - np.outer(mean, mean)
     summary = GaussianSummary(mean=mean, cov=0.5 * (cov + cov.T))
     if cache_path is not None:
-        with open(cache_path, "w") as fh:
-            json.dump({"mean": mean.tolist(), "cov": summary.cov.tolist()}, fh)
+        # written beside the cache file, then renamed over it: a reader sees
+        # a whole file or none, even if this run dies mid-write
+        fd, tmp_path = tempfile.mkstemp(dir=cache_dir, prefix=f".benchmark-{key}-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump({"mean": mean.tolist(), "cov": summary.cov.tolist()}, fh)
+            os.replace(tmp_path, cache_path)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
     return summary
 
 
@@ -446,6 +469,10 @@ def _metric_value(spec, reference, n_total, sum_q, sum_qq, samples):
         hi = spec.hist_hi
         if lo is None or hi is None:
             mu, sd = float(x.mean()), float(x.std())
+            if lo is None and hi is None and x.min() == x.max():
+                # every chain at one point (a fixed start): sd is 0, or a
+                # round-off residue too small to hold the bins; use mu +- 1
+                sd = 1.0 / 6.0
             lo = mu - 6.0 * sd if lo is None else lo
             hi = mu + 6.0 * sd if hi is None else hi
         return chi2_histogram(x, reference, lo, hi, spec.hist_bins), None
@@ -554,6 +581,39 @@ class SweepRow:
     iterations_std: float
 
 
+class _SharedDraws:
+    """One step's normals, drawn once from ``source`` and replayed to each pair.
+
+    The pairs of a lockstep sweep run one kernel on one stream, so the k-th
+    draw of a step is the same array for all of them.  ``new_step`` drops the
+    last step's draws and ``rewind`` starts the next pair at the first draw.
+    The arrays are read-only: a kernel that wrote into its noise would
+    otherwise change it for the pairs after it.
+    """
+
+    def __init__(self, source: RandomSource):
+        self.seed = source.seed
+        self._source = source
+        self._draws = []
+        self._next = 0
+
+    def new_step(self):
+        self._draws = []
+        self._next = 0
+
+    def rewind(self):
+        self._next = 0
+
+    def normals(self, shape) -> np.ndarray:
+        if self._next == len(self._draws):
+            z = self._source.normals(shape)
+            z.flags.writeable = False
+            self._draws.append(z)
+        z = self._draws[self._next]
+        self._next += 1
+        return z
+
+
 def sweep_iteration_complexity(
     model: PotentialModel,
     alphas,
@@ -572,6 +632,14 @@ def sweep_iteration_complexity(
     count; divergent combinations are excluded.  The scan is repeated over
     seeds and the per-seed minima are summarized by mean and standard
     deviation.  An all-divergent alpha reports infinity.
+
+    The pairs of one (alpha, seed) advance in lockstep, one step at a time
+    in grid order (gamma outer, h inner), on the draws of one stream
+    ``RandomSource(seed, 0)`` taken once per step: each pair sees the
+    numbers it would see run alone.  A diverging pair leaves; the scan stops
+    at the first step where a pair hits, and the first such pair in grid
+    order wins.  Lockstep holds one state per live pair, pairs x chains x
+    dim x 16 bytes.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -579,50 +647,60 @@ def sweep_iteration_complexity(
         raise ValueError("sweep requires a potential with a known target mean")
     target = model.target_mean
 
-    def first_hit(config, seed, limit):
-        stepper = make_stepper(model, config)
-        rng = RandomSource(seed, 0)
+    def first_hit(configs, seed):
+        """(step, pair index) of the earliest hit, or (None, None)."""
+        steppers = [make_stepper(model, config) for config in configs]
         state = ChainState(
             q=np.full((chains, model.dim), float(init_q)),
             p=np.zeros((chains, model.dim)),
         )
-        if np.linalg.norm(state.q.mean(axis=0) - target) <= eps:
-            return 0
-        try:
-            for k, state in iterate_chain(state, stepper, limit, rng):
-                if np.linalg.norm(state.q.mean(axis=0) - target) <= eps:
-                    return k
-        except DivergenceError:
-            pass
-        return None
+        if steppers and np.linalg.norm(state.q.mean(axis=0) - target) <= eps:
+            return 0, 0
+        draws = _SharedDraws(RandomSource(seed, 0))
+        # each chain holds iterate_chain's errstate across its yields; closing
+        # them all inside one outer errstate puts the caller's state back
+        # whatever order they leave in
+        with np.errstate(over="ignore", invalid="ignore"), ExitStack() as stack:
+            live = [
+                (i, stack.enter_context(closing(iterate_chain(state, stepper, cap, draws))))
+                for i, stepper in enumerate(steppers)
+            ]
+            while live:
+                draws.new_step()
+                survivors = []
+                for i, chain in live:
+                    draws.rewind()
+                    try:
+                        stepped = next(chain, None)
+                    except DivergenceError:
+                        continue
+                    if stepped is None:  # every live pair reaches the cap at once
+                        return None, None
+                    k, pair_state = stepped
+                    if np.linalg.norm(pair_state.q.mean(axis=0) - target) <= eps:
+                        return k, i
+                    survivors.append((i, chain))
+                live = survivors
+        return None, None
 
+    combos = [(float(gamma), float(h)) for gamma in gammas for h in steps_grid]
     table = []
     for alpha in alphas:
-        per_seed = []
-        best_combo = None
-        for seed in seeds:
-            best = None
-            for gamma in gammas:
-                for h in steps_grid:
-                    config = SamplerConfig(kind=kind, step=float(h), gamma=float(gamma), alpha=float(alpha))
-                    limit = cap if best is None else min(cap, best)
-                    k = first_hit(config, seed, limit)
-                    if k is not None and (best is None or k < best):
-                        best = k
-                        if seed == seeds[0]:
-                            best_combo = (float(gamma), float(h))
-            per_seed.append(best)
-        finite = [k for k in per_seed if k is not None]
+        configs = [SamplerConfig(kind=kind, step=h, gamma=gamma, alpha=float(alpha)) for gamma, h in combos]
+        hits = [first_hit(configs, seed) for seed in seeds]
+        finite = [k for k, _ in hits if k is not None]
         if not finite:
             table.append(SweepRow(alpha=float(alpha), best_gamma=None, best_step=None,
                                   iterations_mean=math.inf, iterations_std=math.inf))
         else:
+            winner = hits[0][1]
+            best_gamma, best_step = combos[winner] if winner is not None else (None, None)
             arr = np.array(finite, dtype=float)
             table.append(
                 SweepRow(
                     alpha=float(alpha),
-                    best_gamma=best_combo[0] if best_combo else None,
-                    best_step=best_combo[1] if best_combo else None,
+                    best_gamma=best_gamma,
+                    best_step=best_step,
                     iterations_mean=float(arr.mean()),
                     iterations_std=float(arr.std()),
                 )

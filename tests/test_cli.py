@@ -142,3 +142,44 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert "chains must be an integer >= 2" in err
+
+    @pytest.mark.parametrize("q0", [1.0, 0.1])
+    def test_chi2_without_histogram_range_runs_from_a_fixed_start(self, tmp_path, capsys, q0):
+        # every chain starts at q0, so the step-0 samples sit at one point;
+        # their computed sd is 0 at q0 = 1 and a round-off residue at 0.1
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "a", "kind": "hfhr_strang", "alpha": 1.0, "gamma": 2.0, "step": 0.1}],
+            "chains": 200,
+            "steps": 4,
+            "record_every": 2,
+            "metric": "chi2_hist",
+            "init": {"q": q0},
+        }
+        cfg = tmp_path / "chi2.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(out_dir), "--format", "csv")
+        assert code == 0, err
+        rows = read_csv(str(out_dir / "results.csv"))
+        assert [r.step for r in rows] == [0, 2, 4]
+        assert all(r.value > 0 and r.flag == "" for r in rows)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"m": {}, "d": 1}, "potential.params.m must be a number"),
+            ({"m": 1.0, "d": 0}, "potential.params.d must be >= 1"),
+        ],
+    )
+    def test_bad_potential_params_are_config_errors(self, tmp_path, capsys, params, message):
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": params},
+            "sampler": [{"id": "a", "kind": "ula", "step": 0.1}],
+            "steps": 3,
+        }
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert message in err

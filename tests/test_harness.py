@@ -20,6 +20,8 @@ from hfhr.harness import (
 )
 from hfhr.metrics import w2_gaussian
 from hfhr.potentials import builtin_potential
+from hfhr.rng import RandomSource
+from hfhr.samplers import ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
 
 
 def minimal_doc(**overrides):
@@ -79,6 +81,18 @@ class TestParseConfig:
         doc = minimal_doc(potential={"name": "quadratic_aniso", "params": {"m": 1.0, "kappa": 0.5, "d": 2}})
         with pytest.raises((ConfigError, ValueError), match="kappa"):
             parse_config(json.dumps(doc))
+
+    def test_potential_params_errors_carry_their_path(self):
+        cases = [
+            ({"m": {}, "d": 1}, "potential.params.m must be a number"),
+            ({"m": 1.0, "d": 0}, "potential.params.d must be >= 1"),
+            ({"m": 1.0, "d": 1.5}, "potential.params.d must be an integer"),
+            ({"m": 1.0, "kappa": 2.0}, "unknown key 'kappa' in potential.params"),
+        ]
+        for params, message in cases:
+            doc = minimal_doc(potential={"name": "quadratic_iso", "params": params})
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_config(json.dumps(doc))
 
     def test_duplicate_ids(self):
         doc = minimal_doc()
@@ -279,6 +293,31 @@ class TestRunExperiment:
         series2 = run_experiment(spec, cache_dir=str(cache))
         assert [r.value for r in series1.rows] == [r.value for r in series2.rows]
 
+    def test_benchmark_cache_key_holds_the_format_version(self, monkeypatch):
+        spec = parse_config(json.dumps(minimal_doc(metric="mean_error", reference={"type": "benchmark_run"})))
+        key = harness._benchmark_key(spec)
+        monkeypatch.setattr(harness, "BENCHMARK_CACHE_FORMAT", harness.BENCHMARK_CACHE_FORMAT + 1)
+        assert harness._benchmark_key(spec) != key
+
+    def test_interrupted_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        doc = minimal_doc(
+            chains=50,
+            horizon=1.0,
+            metric="mean_error",
+            reference={"type": "benchmark_run", "step": 0.1, "horizon": 2.0, "chains": 50},
+        )
+        spec = parse_config(json.dumps(doc))
+
+        def dump_half(obj, fh):
+            fh.write('{"mean": [')
+            raise RuntimeError("killed mid-write")
+
+        monkeypatch.setattr(harness.json, "dump", dump_half)
+        cache = tmp_path / "cache"
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            run_experiment(spec, cache_dir=str(cache))
+        assert list(cache.iterdir()) == []
+
     def test_closed_form_requires_quadratic_for_w2(self):
         doc = minimal_doc(potential={"name": "bimodal", "params": {}})
         spec = parse_config(json.dumps(doc))
@@ -286,7 +325,127 @@ class TestRunExperiment:
             run_experiment(spec)
 
 
+def serial_pair_hit(model, config, seed, chains, limit, eps, init_q):
+    """First-hit step of one pair run alone on a fresh RandomSource(seed, 0):
+    an int, "diverged", or None when it neither hits nor diverges by ``limit``."""
+    state = ChainState(q=np.full((chains, model.dim), float(init_q)), p=np.zeros((chains, model.dim)))
+    if np.linalg.norm(state.q.mean(axis=0) - model.target_mean) <= eps:
+        return 0
+    try:
+        for k, state in iterate_chain(state, make_stepper(model, config), limit, RandomSource(seed, 0)):
+            if np.linalg.norm(state.q.mean(axis=0) - model.target_mean) <= eps:
+                return k
+    except DivergenceError:
+        return "diverged"
+    return None
+
+
+def serial_sweep(model, alphas, gammas, steps_grid, eps, chains, seeds, cap, init_q):
+    """The sweep one pair at a time, in grid order, each pair capped at the
+    best count so far; a later pair wins only with strictly fewer steps."""
+    table = []
+    for alpha in alphas:
+        per_seed, best_combo = [], None
+        for seed in seeds:
+            best = None
+            for gamma in gammas:
+                for h in steps_grid:
+                    config = SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=alpha)
+                    limit = cap if best is None else min(cap, best)
+                    k = serial_pair_hit(model, config, seed, chains, limit, eps, init_q)
+                    if isinstance(k, int) and (best is None or k < best):
+                        best = k
+                        if seed == seeds[0]:
+                            best_combo = (float(gamma), float(h))
+            per_seed.append(best)
+        finite = np.array([k for k in per_seed if k is not None], dtype=float)
+        if finite.size == 0:
+            table.append(harness.SweepRow(float(alpha), None, None, math.inf, math.inf))
+        else:
+            gamma, h = best_combo if best_combo else (None, None)
+            table.append(harness.SweepRow(float(alpha), gamma, h, float(finite.mean()), float(finite.std())))
+    return table
+
+
+# (alphas, gammas, steps_grid, eps, init_q, seeds), each named for what it covers
+SWEEP_CASES = {
+    # at alpha = 1 every pair hits at step 2 on seed 0: the first pair wins
+    "tie": ([0.0, 1.0], [1.0, 2.0, 4.0], [0.5, 1.0], 0.3, 1.0, (0, 1)),
+    # h = 1e35 with a near-zero gamma overflows at step 4, before h = 0.5
+    # hits at step 8; alpha = 1e308 makes alpha * h overflow, so its row is inf
+    "divergence": ([1.0, 1e308], [1e-40], [1e35, 0.5], 0.3, 10.0, (0, 1)),
+    "start-within-eps": ([0.0, 1.0], [1.0, 2.0], [0.5, 1.0], 5.0, 1.0, (0,)),
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_lockstep_matches_serial_scan(self, case):
+        alphas, gammas, steps_grid, eps, init_q, seeds = SWEEP_CASES[case]
+        model = builtin_potential("quadratic_iso", m=1.0, d=2)
+        kwargs = dict(eps=eps, chains=200, seeds=seeds, cap=150, init_q=init_q)
+        expected = serial_sweep(model, alphas, gammas, steps_grid, **kwargs)
+        assert sweep_iteration_complexity(model, alphas, gammas, steps_grid, **kwargs) == expected
+
+        def hits(alpha):
+            return [
+                serial_pair_hit(model, SamplerConfig("hfhr_strang", h, g, alpha), seeds[0], 200, 150, eps, init_q)
+                for g in gammas for h in steps_grid
+            ]
+
+        # the case exercises what it is named for
+        if case == "tie":
+            assert hits(1.0) == [2] * 6 and (expected[1].best_gamma, expected[1].best_step) == (1.0, 0.5)
+        elif case == "divergence":
+            assert hits(1.0) == ["diverged", 8] and expected[0].iterations_mean == 8.0
+            assert set(hits(1e308)) == {"diverged"} and math.isinf(expected[1].iterations_mean)
+        else:
+            assert [row.iterations_mean for row in expected] == [0.0, 0.0]
+            assert (expected[0].best_gamma, expected[0].best_step) == (1.0, 0.5)
+
+    def test_errstate_is_restored(self):
+        # each pair's loop holds its own errstate across yields; the sweep
+        # must hand back the caller's, however its pairs leave
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        with np.errstate(over="warn", invalid="warn"):
+            before = np.geterr()
+            # alpha * h overflows, so the first pair diverges at step 1
+            table = sweep_iteration_complexity(
+                model, alphas=[1e308], gammas=[2.0], steps_grid=[10.0, 0.5], eps=0.01, chains=50, seeds=(0,), cap=50
+            )
+            assert math.isinf(table[0].iterations_mean)
+            assert np.geterr() == before
+            # the first pair leaves at step 4, after the second entered its
+            # loop, and the second hits at step 8: the loops leave out of
+            # entry order
+            model = builtin_potential("quadratic_iso", m=1.0, d=2)
+            table = sweep_iteration_complexity(
+                model, alphas=[1.0], gammas=[1e-40], steps_grid=[1e35, 0.5], eps=0.3, chains=200, seeds=(0,),
+                cap=150, init_q=10.0,
+            )
+            assert table[0].iterations_mean == 8.0
+            assert np.geterr() == before
+
+    def test_kernel_writing_into_its_noise_fails_loudly(self, monkeypatch):
+        def make_writing_stepper(model, config):
+            step = make_stepper(model, config)
+
+            def writing(state, rng):
+                rng.normals(np.shape(state.q))[...] = 0.0
+                return step(state, rng)
+
+            return writing
+
+        monkeypatch.setattr(harness, "make_stepper", make_writing_stepper)
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        with np.errstate(over="warn", invalid="warn"):
+            before = np.geterr()
+            with pytest.raises(ValueError, match="read-only"):
+                sweep_iteration_complexity(
+                    model, alphas=[1.0], gammas=[2.0], steps_grid=[0.5, 0.2], eps=0.01, chains=50, seeds=(0,), cap=20
+                )
+            assert np.geterr() == before
+
     def test_threshold_already_met_is_zero_iterations(self):
         model = builtin_potential("quadratic_iso", m=1.0, d=1)
         table = sweep_iteration_complexity(

@@ -1,6 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hfhr
 from hfhr.potentials import (
     PotentialModel,
     builtin_potential,
@@ -173,3 +180,35 @@ def test_vectorized_eval_and_grad():
     for i in range(8):
         assert vals[i] == pytest.approx(float(model.eval(batch[i])))
         np.testing.assert_allclose(grads[i], model.grad(batch[i]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0, 3.0, -2.5])
+def test_coupled_logcosh_mean_matches_adaptive_quadrature(shift):
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    d = 10
+    # the minimizer's component along e solves t = -tanh(t - shift)
+    t = brentq(lambda x: x + math.tanh(x - shift), -1.0, 1.0, xtol=1e-16)
+
+    def weight(v):
+        return math.exp(-0.5 * v * v - math.log(math.cosh(v - shift)))
+
+    z, _ = quad(weight, -14.0, 14.0, limit=200)
+    ev, _ = quad(lambda v: v * weight(v), -14.0, 14.0, limit=200)
+    expected = (ev / z - t) * np.full(d, 1.0 / math.sqrt(d))
+    mean = builtin_potential("coupled_logcosh", d=d, shift=shift).target_mean
+    assert np.max(np.abs(mean - expected)) <= 1e-13
+
+
+def test_import_loads_neither_optimize_nor_integrate():
+    src = str(Path(hfhr.__file__).resolve().parent.parent)
+    code = (
+        "import sys, hfhr, hfhr.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"
