@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 all configs diverged.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -34,7 +35,10 @@ def _parse_params(pairs):
 
 
 def _cmd_sample(args) -> int:
-    model = builtin_potential(args.potential, **_parse_params(args.param))
+    try:
+        model = builtin_potential(args.potential, **_parse_params(args.param))
+    except MemoryError as exc:  # only d sizes the model's arrays
+        raise harness.ConfigError(f"potential.params.d is too large: {exc}") from exc
     config = SamplerConfig(kind=args.kind, step=args.step, gamma=args.gamma, alpha=args.alpha)
     rng = RandomSource(args.seed, args.chain_index)
     q = np.full(model.dim, args.q0)
@@ -74,7 +78,7 @@ def _cmd_experiment(args) -> int:
     if args.format in ("csv", "both"):
         harness.write_csv(series, os.path.join(args.out_dir, "results.csv"))
     if args.format in ("svg", "both"):
-        style = "semilog-y" if all(r.value > 0 for r in series.rows) else "linear"
+        style = "semilog-y" if all(r.value > 0 for r in series.rows if math.isfinite(r.value)) else "linear"
         harness.write_svg_plot(
             series, style, os.path.join(args.out_dir, "results.svg"), title=spec.metric
         )

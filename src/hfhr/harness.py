@@ -4,6 +4,10 @@ Chains are stepped in fixed-size blocks of 1000; each block draws from its
 own noise stream keyed on (seed, config index, block index) and the block
 partials are merged in block order, so results are byte-identical for any
 worker count.
+
+Consecutive equal-size blocks of a config step as one stacked state, each
+block still on its own stream (``_run_group``); these groups are the thread
+pool's tasks.
 """
 
 from __future__ import annotations
@@ -120,7 +124,12 @@ def _check_keys(obj: dict, allowed: set, where: str):
 
 
 def _number(value) -> bool:
-    return isinstance(value, Real) and math.isfinite(value)
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _positive_number(value) -> bool:
@@ -205,21 +214,21 @@ def parse_config(text: str) -> ExperimentSpec:
     horizon = doc.get("horizon")
     if (steps is None) == (horizon is None):
         raise ConfigError("exactly one of 'steps' or 'horizon' is required")
-    if steps is not None and (not isinstance(steps, int) or steps < 1):
+    if steps is not None and (not _integer(steps) or steps < 1):
         raise ConfigError("steps must be a positive integer")
     if horizon is not None and not _positive_number(horizon):
         raise ConfigError("horizon must be > 0")
 
     chains = doc.get("chains", 10000)
-    if not isinstance(chains, int) or chains < 2:
+    if not _integer(chains) or chains < 2:
         raise ConfigError("chains must be an integer >= 2")
     record_every = doc.get("record_every", 1)
-    if not isinstance(record_every, int) or record_every < 1:
+    if not _integer(record_every) or record_every < 1:
         raise ConfigError("record_every must be a positive integer")
     if steps is not None and record_every > steps:
         raise ConfigError("record_every must not exceed steps")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _integer(seed) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     metric = doc.get("metric", "w2_gaussian")
     if metric not in METRICS:
@@ -247,7 +256,7 @@ def parse_config(text: str) -> ExperimentSpec:
         if ref_horizon is not None and not _positive_number(ref_horizon):
             raise ConfigError("reference.horizon must be > 0")
         ref_chains = ref_doc.get("chains")
-        if ref_chains is not None and (not isinstance(ref_chains, int) or ref_chains < 1):
+        if ref_chains is not None and (not _integer(ref_chains) or ref_chains < 1):
             raise ConfigError("reference.chains must be a positive integer")
         benchmark = BenchmarkSpec(
             kind=config.kind, gamma=config.gamma, step=config.step, horizon=ref_horizon, chains=ref_chains
@@ -275,7 +284,7 @@ def parse_config(text: str) -> ExperimentSpec:
         raise ConfigError("histogram must be an object")
     _check_keys(hist_doc, {"lo", "hi", "bins"}, "histogram")
     bins = hist_doc.get("bins", 50)
-    if not isinstance(bins, int) or bins < 2:
+    if not _integer(bins) or bins < 2:
         raise ConfigError("histogram.bins must be an integer >= 2")
     lo, hi = hist_doc.get("lo"), hist_doc.get("hi")
     for key, value in (("lo", lo), ("hi", hi)):
@@ -305,6 +314,8 @@ def parse_config(text: str) -> ExperimentSpec:
         dim = spec.model().dim  # validates potential params eagerly
     except ValueError as exc:
         raise ConfigError(f"potential.params.{exc}") from exc
+    except MemoryError as exc:  # only d sizes the model's arrays
+        raise ConfigError(f"potential.params.d is too large: {exc}") from exc
     for key in ("q", "p"):
         value = getattr(init, key)
         values = value if isinstance(value, list) else [value]
@@ -313,13 +324,16 @@ def parse_config(text: str) -> ExperimentSpec:
     return spec
 
 
-def _init_block(spec: ExperimentSpec, dim: int, n: int, rng: RandomSource) -> ChainState:
-    q = np.broadcast_to(np.atleast_1d(np.asarray(spec.init.q, dtype=float)), (n, dim)).copy()
-    p = np.broadcast_to(np.atleast_1d(np.asarray(spec.init.p, dtype=float)), (n, dim)).copy()
-    if spec.init.q_std > 0:
-        q += spec.init.q_std * rng.normals((n, dim))
-    if spec.init.p_std > 0:
-        p += spec.init.p_std * rng.normals((n, dim))
+def _init_blocks(spec: ExperimentSpec, dim: int, n: int, sources: list) -> ChainState:
+    """Start states of len(sources) blocks of n chains, block b in rows b * n:(b + 1) * n."""
+    rows = n * len(sources)
+    q = np.broadcast_to(np.atleast_1d(np.asarray(spec.init.q, dtype=float)), (rows, dim)).copy()
+    p = np.broadcast_to(np.atleast_1d(np.asarray(spec.init.p, dtype=float)), (rows, dim)).copy()
+    for b, rng in enumerate(sources):
+        if spec.init.q_std > 0:
+            q[b * n:(b + 1) * n] += spec.init.q_std * rng.normals((n, dim))
+        if spec.init.p_std > 0:
+            p[b * n:(b + 1) * n] += spec.init.p_std * rng.normals((n, dim))
     return ChainState(q=q, p=p)
 
 
@@ -330,33 +344,94 @@ class _BlockResult:
     diverged_at: Optional[int]
 
 
-def _run_block(
+# a group stacks equal-size blocks up to about one d = 100 block of
+# coordinates: every d = 1 block of a config fits, a d = 100 block stands alone
+_STACK_COORDS = 100_000
+
+
+def _groups(sizes: list, dim: int) -> list:
+    """Runs of consecutive equal-size block indices, each within _STACK_COORDS."""
+    groups = []
+    for b, n in enumerate(sizes):
+        if groups and sizes[groups[-1][0]] == n and (len(groups[-1]) + 1) * n * dim <= _STACK_COORDS:
+            groups[-1].append(b)
+        else:
+            groups.append([b])
+    return groups
+
+
+class _StackedDraws:
+    """Normals for a stack of equal-size blocks, each block from its own stream.
+
+    A request of shape ``lead + (B * n, d)`` takes each block's
+    ``lead + (n, d)`` draw from its source and puts block b's at rows
+    ``b * n:(b + 1) * n``, so every block sees the numbers it sees alone.
+    """
+
+    def __init__(self, sources: list, n: int):
+        self._sources = sources
+        self._n = n
+
+    def normals(self, shape) -> np.ndarray:
+        if len(self._sources) == 1:
+            return self._sources[0].normals(shape)
+        block_shape = tuple(shape[:-2]) + (self._n, shape[-1])
+        return np.concatenate([source.normals(block_shape) for source in self._sources], axis=-2)
+
+
+def _run_group(
     spec: ExperimentSpec,
     model: PotentialModel,
     config: SamplerConfig,
     steps: int,
     record_steps: list,
-    stream: int,
+    streams: list,
     n: int,
     keep_samples: bool,
-):
-    rng = RandomSource(spec.seed, stream)
-    state = _init_block(spec, model.dim, n, rng)
+) -> list:
+    """Step equal-size blocks as one (B * n, d) state; one _BlockResult each.
+
+    Block b draws only from ``RandomSource(spec.seed, streams[b])``.  A block
+    with a non-finite row at step k stops there, charged n * k gradient
+    rows; the other blocks carry on from step k, so each result equals the
+    block's own run.
+    """
+    sources = [RandomSource(spec.seed, stream) for stream in streams]
+    state = _init_blocks(spec, model.dim, n, sources)
+    results = [_BlockResult(sums=[], grad_evals=n * steps, diverged_at=None) for _ in streams]
+    live = list(range(len(streams)))  # the block of each n-row slice of the state
     record_set = set(record_steps)
-    out = []
 
     def snapshot(state):
-        out.append(state.q.copy() if keep_samples else (n, state.q.sum(axis=0), state.q.T @ state.q))
+        for i, b in enumerate(live):
+            q = state.q[i * n:(i + 1) * n]
+            results[b].sums.append(q.copy() if keep_samples else (n, q.sum(axis=0), q.T @ q))
 
     snapshot(state)  # step 0 is always a record step
-    # every kernel makes one gradient call per step, on all n chains
-    try:
-        for k, state in iterate_chain(state, make_stepper(model, config), steps, rng):
-            if k in record_set:
-                snapshot(state)
-    except DivergenceError as exc:
-        return _BlockResult(sums=out, grad_evals=n * exc.step, diverged_at=exc.step)
-    return _BlockResult(sums=out, grad_evals=n * steps, diverged_at=None)
+    stepper = make_stepper(model, config)
+    done = 0
+    # snapshots at a divergence step run outside iterate_chain's errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live and done < steps:
+            draws = _StackedDraws([sources[b] for b in live], n)
+            try:
+                for j, state in iterate_chain(state, stepper, steps - done, draws):
+                    if done + j in record_set:
+                        snapshot(state)
+                done = steps
+            except DivergenceError as exc:
+                done += exc.step
+                q, p = exc.state.q, exc.state.p
+                finite = (np.isfinite(q) & np.isfinite(p)).all(axis=1).reshape(len(live), n).all(axis=1)
+                for i in np.flatnonzero(~finite):
+                    results[live[i]].grad_evals = n * done
+                    results[live[i]].diverged_at = done
+                rows = np.repeat(finite, n)
+                live = [b for b, ok in zip(live, finite) if ok]
+                state = ChainState(q=q[rows], p=p[rows])
+                if live and done in record_set:
+                    snapshot(state)
+    return results
 
 
 def _target_density_1d(model: PotentialModel) -> Callable:
@@ -431,7 +506,7 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
     config = SamplerConfig(kind=bench.kind, step=bench.step, gamma=bench.gamma, alpha=0.0)
     steps = max(1, int(round(horizon / bench.step)))
     rng = RandomSource(spec.seed, 900_000)
-    state = _init_block(spec, model.dim, chains, rng)
+    state = _init_blocks(spec, model.dim, chains, [rng])
     acc_q = np.zeros(model.dim)
     acc_qq = np.zeros((model.dim, model.dim))
     count = 0
@@ -475,13 +550,21 @@ def _metric_value(spec, reference, n_total, sum_q, sum_qq, samples):
                 sd = 1.0 / 6.0
             lo = mu - 6.0 * sd if lo is None else lo
             hi = mu + 6.0 * sd if hi is None else hi
-        return chi2_histogram(x, reference, lo, hi, spec.hist_bins), None
+        try:
+            return chi2_histogram(x, reference, lo, hi, spec.hist_bins), None
+        except ValueError:
+            # a bin holds samples where the target's mass underflows to 0, or
+            # the samples overflow the range: the divergence is infinite
+            return math.inf, None
     mean = sum_q / n_total
     cov = sum_qq / (n_total - 1) - np.outer(mean, mean) * (n_total / (n_total - 1))
     cov = 0.5 * (cov + cov.T)
     if spec.metric == "mean_error":
         stderr = math.sqrt(max(np.trace(cov), 0.0) / n_total)
         return float(np.linalg.norm(mean - reference)), stderr
+    if not np.all(np.isfinite(cov)):
+        # the second moments overflowed on the way to a blow-up: no distance
+        return math.nan, None
     summary = GaussianSummary(mean=mean, cov=cov)
     return w2_gaussian(summary, reference), None
 
@@ -491,10 +574,10 @@ def run_experiment(
 ) -> ResultSeries:
     """Run every sampler config of the spec and score it against the reference.
 
-    Chains advance in fixed blocks with per-block noise streams; block
-    partials merge in block order, so the output is identical for any
-    ``workers`` value.  A diverging config is truncated and flagged, not
-    fatal to the run.
+    Chains advance in fixed blocks with per-block noise streams, equal-size
+    blocks stacked into groups; block partials merge in block order, so the
+    output is identical for any ``workers`` value.  A diverging config is
+    truncated and flagged, not fatal to the run.
     """
     model = spec.model()
     if spec.reference == "closed_form":
@@ -515,23 +598,24 @@ def run_experiment(
             min(BLOCK_SIZE, spec.chains - b * BLOCK_SIZE) for b in range(n_blocks)
         ]
 
-        def task(b):
-            return _run_block(
+        def task(group):
+            return _run_group(
                 spec,
                 model,
                 config,
                 steps,
                 record_steps,
-                stream=c_idx * 1_000_000 + b,
-                n=sizes[b],
+                streams=[c_idx * 1_000_000 + b for b in group],
+                n=sizes[group[0]],
                 keep_samples=keep_samples,
             )
 
+        groups = _groups(sizes, model.dim)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                blocks = list(pool.map(task, range(n_blocks)))
+                blocks = [r for results in pool.map(task, groups) for r in results]
         else:
-            blocks = [task(b) for b in range(n_blocks)]
+            blocks = [r for group in groups for r in task(group)]
 
         grad_evals[config_id] = sum(b.grad_evals for b in blocks)
         bad_steps = [b.diverged_at for b in blocks if b.diverged_at is not None]
@@ -778,7 +862,8 @@ def write_svg_plot(series: ResultSeries, style: str, path: str, title: str = "")
 
     Styles: 'linear', 'semilog-y', 'log-log'.  Log axes require positive
     data and put ticks at decades; log-log uses the same pixels-per-decade
-    on both axes so a slope-one series renders at 45 degrees.
+    on both axes so a slope-one series renders at 45 degrees.  Non-finite
+    values are left out.
     """
     if style not in ("linear", "semilog-y", "log-log"):
         raise ValueError("style must be linear, semilog-y or log-log")
@@ -788,7 +873,13 @@ def write_svg_plot(series: ResultSeries, style: str, path: str, title: str = "")
             config_ids.append(r.config_id)
     if not config_ids:
         raise ValueError("empty series")
-    data = {cid: series.values(cid) for cid in config_ids}
+    data = {}
+    for cid in config_ids:
+        xs, ys = series.values(cid)
+        finite = np.isfinite(ys)  # rows on the way to a blow-up may be inf or nan
+        data[cid] = (xs[finite], ys[finite])
+    if not any(ys.size for _, ys in data.values()):
+        raise ValueError("no finite values to plot")
     logx = style == "log-log"
     logy = style in ("semilog-y", "log-log")
     for cid, (xs, ys) in data.items():

@@ -200,12 +200,15 @@ def _coupled_logcosh(d: int, shift: float = 0.0) -> PotentialModel:
     """
     e = np.full(d, 1.0 / math.sqrt(d))
 
-    # component of the minimizer along e: t = -tanh(t - shift)
+    # component of the minimizer along e: the root of t + tanh(t - shift).
+    # Newton, whose derivative 1 + sech^2 = 2 - tanh^2 lies in [1, 2], until
+    # the iterate stops moving; the plain fixed-point map stalls where sech^2
+    # is near 1, that is at small shifts
     t = 0.0
-    for _ in range(200):
-        t_new = -math.tanh(t - shift)
-        if abs(t_new - t) < 1e-15:
-            t = t_new
+    for _ in range(100):
+        th = math.tanh(t - shift)
+        t_new = t - (t + th) / (2.0 - th * th)
+        if t_new == t:
             break
         t = t_new
     q0 = t * e

@@ -37,11 +37,12 @@ from .rng import RandomSource
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a chain leaves the finite floats."""
+    """Raised when a chain leaves the finite floats; ``state`` is that step's state."""
 
-    def __init__(self, step: int):
+    def __init__(self, step: int, state: Optional[ChainState] = None):
         super().__init__(f"non-finite state at step {step}")
         self.step = step
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class SamplerConfig:
             raise ValueError(f"kind must be one of {', '.join(KINDS)}")
         for name in ("step", "gamma", "alpha"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value)):
+            if not (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number")
             object.__setattr__(self, name, float(value))
         if self.step <= 0:
@@ -270,16 +271,16 @@ em_hfhr_step = _single_step(_hfhr_em)
 def iterate_chain(state: ChainState, stepper, steps: int, rng) -> Iterator[tuple[int, ChainState]]:
     """Apply ``stepper`` ``steps`` times, yielding (index, state) after each.
 
-    Any non-finite coordinate raises a DivergenceError naming the step;
-    stability-limit experiments probe blow-up on purpose.  Blow-up is
-    detected here, so numpy's overflow warnings are silenced while the
-    loop (the caller's body included) runs.
+    Any non-finite coordinate raises a DivergenceError naming the step and
+    carrying its state; stability-limit experiments probe blow-up on
+    purpose.  Blow-up is detected here, so numpy's overflow warnings are
+    silenced while the loop (the caller's body included) runs.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             state = stepper(state, rng)
             if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
-                raise DivergenceError(k)
+                raise DivergenceError(k, state)
             yield k, state
 
 

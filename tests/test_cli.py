@@ -34,6 +34,14 @@ class TestSample:
         assert code == 2
         assert "unknown potential" in err
 
+    def test_huge_dimension_is_config_error(self, capsys):
+        # the model's arrays cannot be allocated, so nothing is
+        code, _, err = run_cli(
+            capsys, "sample", "--potential", "quadratic_iso", "--param", "d=1e12", "--step", "0.1", "--steps", "1"
+        )
+        assert code == 2
+        assert "error: potential.params.d is too large" in err
+
 
 class TestTheory:
     def test_prints_constants(self, capsys):
@@ -164,6 +172,41 @@ class TestExperiment:
         rows = read_csv(str(out_dir / "results.csv"))
         assert [r.step for r in rows] == [0, 2, 4]
         assert all(r.value > 0 and r.flag == "" for r in rows)
+
+    def test_huge_dimension_is_config_error(self, tmp_path, capsys):
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1000000000000}},
+            "sampler": [{"id": "a", "kind": "ula", "step": 0.1}],
+            "steps": 3,
+        }
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: potential.params.d is too large" in err
+
+    def test_diverging_config_still_plots(self, tmp_path, capsys):
+        # the diverging sampler's last records overflow the metric to inf
+        # and nan; the plot leaves those points out
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 4.0, "d": 1}},
+            "sampler": [
+                {"id": "ok", "kind": "uld_klmc", "gamma": 2.0, "step": 0.2},
+                {"id": "boom", "kind": "hfhr_strang", "alpha": 1.0, "gamma": 2.0, "step": 3.0},
+            ],
+            "chains": 50,
+            "steps": 300,
+            "record_every": 20,
+        }
+        cfg = tmp_path / "boom.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0, err
+        rows = read_csv(str(out_dir / "results.csv"))
+        assert any(r.value != r.value for r in rows)  # a nan row
+        svg = (out_dir / "results.svg").read_text()
+        assert svg.count("<polyline") == 2 and "nan" not in svg and "inf" not in svg
 
     @pytest.mark.parametrize(
         "params, message",

@@ -21,7 +21,7 @@ from hfhr.harness import (
 from hfhr.metrics import w2_gaussian
 from hfhr.potentials import builtin_potential
 from hfhr.rng import RandomSource
-from hfhr.samplers import ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
+from hfhr.samplers import KINDS, ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
 
 
 def minimal_doc(**overrides):
@@ -158,6 +158,25 @@ class TestParseConfig:
         for chains in (0, 2.5, "x"):
             with pytest.raises(ConfigError, match=re.escape("reference.chains must be a positive integer")):
                 parse_config(json.dumps(self.reference_doc(chains=chains)))
+
+    def test_booleans_are_not_numbers(self):
+        # JSON true loads as a Python bool, which is an int
+        for overrides, message in (
+            ({"chains": True}, "chains must be an integer >= 2"),
+            ({"record_every": True}, "record_every must be a positive integer"),
+            ({"seed": False}, "seed must be a non-negative integer"),
+            ({"horizon": True}, "horizon must be > 0"),
+            ({"histogram": {"bins": True}}, "histogram.bins must be an integer >= 2"),
+            ({"potential": {"name": "quadratic_iso", "params": {"m": True}}}, "potential.params.m must be a number"),
+            ({"reference": {"type": "benchmark_run", "chains": True}}, "reference.chains must be a positive integer"),
+            ({"init": {"q_std": True}}, "init.q_std must be a number >= 0"),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_config(json.dumps(minimal_doc(metric="mean_error", **overrides)))
+        doc = minimal_doc()
+        doc["sampler"][0]["step"] = True
+        with pytest.raises(ConfigError, match=re.escape("sampler[0].step must be a finite number")):
+            parse_config(json.dumps(doc))
 
     def test_chi2_hist_with_benchmark_reference_rejected(self):
         doc = minimal_doc(metric="chi2_hist", reference={"type": "benchmark_run"})
@@ -318,11 +337,238 @@ class TestRunExperiment:
             run_experiment(spec, cache_dir=str(cache))
         assert list(cache.iterdir()) == []
 
+    def test_samples_where_the_target_has_no_mass_score_infinite_chi2(self):
+        # one step of h = 1.3 throws chains far out of the double well, where
+        # the target density underflows to 0 inside the automatic range
+        doc = minimal_doc(
+            potential={"name": "bimodal", "params": {}},
+            sampler=[{"id": "s", "kind": "hfhr_strang", "step": 1.3, "gamma": 1.2, "alpha": 1.3}],
+            chains=200,
+            steps=2,
+            record_every=1,
+            seed=1,
+            metric="chi2_hist",
+        )
+        del doc["horizon"]
+        series = run_experiment(parse_config(json.dumps(doc)))
+        values = [r.value for r in series.rows]
+        assert math.isfinite(values[0]) and values[1:] == [math.inf, math.inf]
+
+    def test_overflowed_second_moments_give_nan_w2(self):
+        # d = 2: the moments overflow on the way to the blow-up at step 251
+        doc = minimal_doc(
+            potential={"name": "quadratic_aniso", "params": {"m": 1.0, "kappa": 4.0, "d": 2}},
+            sampler=[{"id": "s", "kind": "hfhr_strang", "alpha": 1.0, "gamma": 2.0, "step": 3.0}],
+            chains=20,
+            steps=300,
+            record_every=20,
+            seed=11,
+        )
+        del doc["horizon"]
+        series = run_experiment(parse_config(json.dumps(doc)))
+        assert series.diverged["s"] == 251
+        last = series.rows[-1]
+        assert (last.step, last.flag) == (240, "diverged") and math.isnan(last.value)
+
     def test_closed_form_requires_quadratic_for_w2(self):
         doc = minimal_doc(potential={"name": "bimodal", "params": {}})
         spec = parse_config(json.dumps(doc))
         with pytest.raises(ConfigError, match="quadratic"):
             run_experiment(spec)
+
+
+def serial_block(spec, model, config, steps, record_steps, stream, n, keep_samples):
+    """One block run alone on its own stream: (snapshots, grad_evals, diverged_at)."""
+    rng = RandomSource(spec.seed, stream)
+    q = np.broadcast_to(np.asarray(spec.init.q, dtype=float), (n, model.dim)).copy()
+    p = np.broadcast_to(np.asarray(spec.init.p, dtype=float), (n, model.dim)).copy()
+    if spec.init.q_std > 0:
+        q += spec.init.q_std * rng.normals((n, model.dim))
+    if spec.init.p_std > 0:
+        p += spec.init.p_std * rng.normals((n, model.dim))
+
+    def snapshot(q):
+        return q.copy() if keep_samples else (n, q.sum(axis=0), q.T @ q)
+
+    state = ChainState(q=q, p=p)
+    sums = [snapshot(state.q)]
+    try:
+        for k, state in iterate_chain(state, make_stepper(model, config), steps, rng):
+            if k in record_steps:
+                sums.append(snapshot(state.q))
+    except DivergenceError as exc:
+        return sums, n * exc.step, exc.step
+    return sums, n * steps, None
+
+
+def assert_same_block(result, reference):
+    """A stacked block's _BlockResult holds the bytes of the block run alone."""
+    sums, grad_evals, diverged_at = reference
+    assert (result.grad_evals, result.diverged_at) == (grad_evals, diverged_at)
+    assert len(result.sums) == len(sums)
+    for got, want in zip(result.sums, sums):
+        got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+        assert [np.shape(g) for g in got] == [np.shape(w) for w in want]
+        assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
+
+
+@pytest.fixture
+def recorded_groups(monkeypatch):
+    """Each group run_experiment steps: (config, n, streams, results), in call order."""
+    groups = []
+    original = harness._run_group
+
+    def recording(spec, model, config, steps, record_steps, streams, n, keep_samples):
+        results = original(spec, model, config, steps, record_steps, streams, n, keep_samples)
+        groups.append((config, n, list(streams), results))
+        return results
+
+    monkeypatch.setattr(harness, "_run_group", recording)
+    return groups
+
+
+def check_against_serial(spec, groups):
+    """Every recorded block against its serial run; returns each config's groups of streams."""
+    model = spec.model()
+    stacks = {}
+    for config, n, streams, results in groups:
+        steps = spec.steps_for(config)
+        record_steps = sorted(set(range(0, steps + 1, spec.record_every)) | {steps})
+        for stream, result in zip(streams, results):
+            reference = serial_block(
+                spec, model, config, steps, set(record_steps), stream, n, spec.metric == "chi2_hist"
+            )
+            assert_same_block(result, reference)
+        stacks.setdefault(config, []).append(streams)
+    return {config: sorted(streams) for config, streams in stacks.items()}
+
+
+# name -> params, every builtin potential at a small size
+SMALL_POTENTIALS = {
+    "quadratic_iso": {"m": 1.0, "d": 3},
+    "quadratic_aniso": {"m": 1.0, "kappa": 4.0, "d": 2},
+    "quartic": {},
+    "perturbed": {},
+    "bimodal": {},
+    "rosenbrock2d": {},
+    "coupled_logcosh": {"d": 3, "shift": 1.0},
+}
+
+
+class TestStackedBlocks:
+    def test_groups_stack_equal_sizes_up_to_the_cap(self):
+        assert harness._groups([1000] * 10, 1) == [list(range(10))]
+        assert harness._groups([1000, 1000, 500], 1) == [[0, 1], [2]]
+        assert harness._groups([1000] * 4, 100) == [[0], [1], [2], [3]]
+        assert harness._groups([1000] * 12, 10) == [list(range(10)), [10, 11]]
+        assert harness._groups([1000] * 3, 1000) == [[0], [1], [2]]
+
+    def test_stacked_draws_put_each_block_stream_in_its_rows(self):
+        draws = harness._StackedDraws([RandomSource(3, b) for b in (5, 6, 7)], 4)
+        stacked = [draws.normals((2, 12, 3)), draws.normals((12, 3))]
+        for i, b in enumerate((5, 6, 7)):
+            alone = RandomSource(3, b)
+            assert stacked[0][:, 4 * i:4 * (i + 1)].tobytes() == alone.normals((2, 4, 3)).tobytes()
+            assert stacked[1][4 * i:4 * (i + 1)].tobytes() == alone.normals((4, 3)).tobytes()
+
+    def test_one_block_gets_its_draw_without_a_copy(self):
+        drawn = []
+
+        class Source:
+            def normals(self, shape):
+                drawn.append(np.zeros(shape))
+                return drawn[-1]
+
+        assert harness._StackedDraws([Source()], 4).normals((2, 4, 3)) is drawn[-1]
+
+    @pytest.mark.parametrize("name", sorted(SMALL_POTENTIALS))
+    def test_every_potential_and_kind_matches_blocks_run_alone(self, name):
+        doc = minimal_doc(
+            potential={"name": name, "params": SMALL_POTENTIALS[name]},
+            init={"q": 0.5, "p": 0.0, "q_std": 0.3, "p_std": 0.3},
+            steps=12,
+            record_every=3,
+        )
+        del doc["horizon"]
+        spec = parse_config(json.dumps(doc))
+        model = spec.model()
+        streams = [3, 4, 5, 6, 7]
+        for kind in KINDS:
+            config = SamplerConfig(kind=kind, step=0.02, gamma=2.0, alpha=0.5)
+            results = harness._run_group(spec, model, config, 12, [0, 3, 6, 9, 12], streams, 30, False)
+            for stream, result in zip(streams, results):
+                assert result.diverged_at is None
+                assert_same_block(result, serial_block(spec, model, config, 12, {3, 6, 9, 12}, stream, 30, False))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("metric", ["w2_gaussian", "chi2_hist"])
+    def test_ragged_chains_match_blocks_run_alone(self, recorded_groups, metric, workers):
+        doc = minimal_doc(chains=2500, horizon=2.0, record_every=4, metric=metric)
+        doc["init"] = {"q": 1.0, "p": 0.0, "q_std": 0.5}
+        doc["sampler"].append({"id": "klmc", "kind": "uld_klmc", "gamma": 2.0, "step": 0.1})
+        spec = parse_config(json.dumps(doc))
+        run_experiment(spec, workers=workers)
+        # two full blocks stack; the ragged 500 runs alone
+        assert list(check_against_serial(spec, recorded_groups).values()) == [
+            [[0, 1], [2]],
+            [[1_000_000, 1_000_001], [1_000_002]],
+        ]
+
+    def test_blocks_of_one_group_diverge_at_their_own_steps(self, recorded_groups, monkeypatch):
+        # ula at h = 0.5 on the quartic throws out chains that wander past
+        # |q| ~ 2; four blocks of ten leave the stack at steps 7, 10, 11, 9
+        monkeypatch.setattr(harness, "BLOCK_SIZE", 10)
+        doc = minimal_doc(
+            potential={"name": "quartic", "params": {}},
+            sampler=[{"id": "c", "kind": "ula", "step": 0.5}],
+            chains=40,
+            steps=30,
+            record_every=1,
+            seed=5,
+            metric="mean_error",
+            init={"q": 0.0, "q_std": 1.0},
+        )
+        del doc["horizon"]
+        spec = parse_config(json.dumps(doc))
+        series = run_experiment(spec)
+        assert check_against_serial(spec, recorded_groups) == {spec.samplers[0][1]: [[0, 1, 2, 3]]}
+        (_, _, _, results), = recorded_groups
+        assert [r.diverged_at for r in results] == [7, 10, 11, 9]
+        assert series.diverged["c"] == 7
+        assert series.grad_evals["c"] == 10 * (7 + 10 + 11 + 9)
+
+    def test_gradient_count_of_a_group_with_two_divergent_blocks(self, recorded_groups, monkeypatch):
+        # two blocks of 1000 at d = 1 stack; the gradient returns inf on the
+        # second block's rows from step 3 and on the first block's from step 6
+        counted = {"calls": 0, "rows": 0}
+        original = harness.builtin_potential
+
+        def faulty(*args, **kwargs):
+            model = original(*args, **kwargs)
+
+            def grad(q):
+                counted["calls"] += 1
+                counted["rows"] += np.shape(q)[0]
+                g = model.grad(q)
+                if counted["calls"] >= 3 and np.shape(q)[0] == 2000:
+                    g[1000:] = np.inf
+                if counted["calls"] >= 6:
+                    g[:1000] = np.inf
+                return g
+
+            return dataclasses.replace(model, grad=grad)
+
+        monkeypatch.setattr(harness, "builtin_potential", faulty)
+        doc = minimal_doc(chains=2000, steps=10, record_every=1)
+        del doc["horizon"]
+        doc["sampler"] = [{"id": "c", "kind": "ula", "step": 0.1}]
+        series = run_experiment(parse_config(json.dumps(doc)))
+        (_, _, streams, results), = recorded_groups
+        assert streams == [0, 1]
+        assert [(r.diverged_at, r.grad_evals, len(r.sums)) for r in results] == [(6, 6000, 6), (3, 3000, 3)]
+        assert series.diverged["c"] == 3
+        assert series.grad_evals["c"] == counted["rows"] == 2000 * 3 + 1000 * 3
+        assert [(r.step, r.flag) for r in series.rows] == [(0, ""), (1, ""), (2, "diverged")]
 
 
 def serial_pair_hit(model, config, seed, chains, limit, eps, init_q):
@@ -543,6 +789,16 @@ class TestSvg:
         assert text.count("<polyline") == 2
         assert ">a</text>" in text and ">b</text>" in text
         assert "xlink" not in text and "href" not in text  # no external assets
+
+    def test_non_finite_values_are_left_out(self, tmp_path):
+        finite = series_from({"a": [(0.0, 1.0), (1.0, 0.5)], "b": [(0.0, 2.0), (1.0, 1.0)]})
+        mixed = series_from({"a": [(0.0, 1.0), (1.0, 0.5), (2.0, math.inf)], "b": [(0.0, 2.0), (1.0, 1.0), (2.0, math.nan)]})
+        for style in ("linear", "semilog-y"):
+            write_svg_plot(finite, style, str(tmp_path / "finite.svg"))
+            write_svg_plot(mixed, style, str(tmp_path / "mixed.svg"))
+            assert (tmp_path / "mixed.svg").read_bytes() == (tmp_path / "finite.svg").read_bytes()
+        with pytest.raises(ValueError, match="no finite values"):
+            write_svg_plot(series_from({"a": [(0.0, math.nan)]}), "linear", str(tmp_path / "none.svg"))
 
     def test_ids_and_title_are_escaped(self, tmp_path):
         cid = 'a,"b" <c> & d'

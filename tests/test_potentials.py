@@ -65,6 +65,13 @@ def test_coupled_logcosh_shift_keeps_minimum_at_origin():
     assert np.linalg.norm(sym.target_mean) < 1e-9
 
 
+@pytest.mark.parametrize("shift", [0.01, 0.1, 0.5, 1.0, 3.0, -2.5])
+def test_coupled_logcosh_minimizer_sits_at_the_origin_for_any_shift(shift):
+    # small shifts put sech^2 near 1, where a fixed-point solve stalls
+    model = builtin_potential("coupled_logcosh", d=1, shift=shift)
+    assert abs(model.grad(np.zeros(1))[0]) <= 1e-15
+
+
 def test_unknown_name_and_bad_params():
     with pytest.raises(ValueError, match="unknown potential"):
         builtin_potential("nope")
