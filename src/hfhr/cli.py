@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 all configs diverged.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -19,7 +20,6 @@ import sys
 import numpy as np
 
 from . import analysis, harness
-from .potentials import builtin_potential
 from .rng import RandomSource
 from .samplers import ChainState, DivergenceError, SamplerConfig, simulate_chain
 
@@ -35,10 +35,9 @@ def _parse_params(pairs):
 
 
 def _cmd_sample(args) -> int:
-    try:
-        model = builtin_potential(args.potential, **_parse_params(args.param))
-    except MemoryError as exc:  # only d sizes the model's arrays
-        raise harness.ConfigError(f"potential.params.d is too large: {exc}") from exc
+    model = harness.build_potential(args.potential, _parse_params(args.param))
+    if args.steps < 0:  # simulate_chain's rule, checked before any output
+        raise harness.ConfigError("steps must be a non-negative integer")
     config = SamplerConfig(kind=args.kind, step=args.step, gamma=args.gamma, alpha=args.alpha)
     rng = RandomSource(args.seed, args.chain_index)
     q = np.full(model.dim, args.q0)
@@ -67,10 +66,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.workers < 1:
+        raise harness.ConfigError("workers must be a positive integer")
     with open(args.config) as fh:
-        spec = harness.parse_config(fh.read())
-    if args.seed is not None:
-        spec = harness.ExperimentSpec(**{**spec.__dict__, "seed": args.seed})
+        text = fh.read()
+    spec = harness.parse_config(text)
+    if args.seed is not None:  # parsed again, so the override obeys the spec's seed rule
+        spec = harness.parse_config(json.dumps({**json.loads(text), "seed": args.seed}))
     os.makedirs(args.out_dir, exist_ok=True)
     series = harness.run_experiment(
         spec, workers=args.workers, cache_dir=os.path.join(args.out_dir, "cache")

@@ -22,18 +22,22 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
 from .analysis import GaussianSummary
-from .metrics import chi2_histogram, mean_error, w2_gaussian
-from .potentials import POTENTIAL_PARAMS, VALID_POTENTIALS, PotentialModel, builtin_potential
+from .metrics import chi2_histogram, w2_gaussian
+from .potentials import POTENTIAL_PARAMS, VALID_POTENTIALS, PotentialModel, builtin_potential, finite_number
 from .rng import RandomSource
 from .samplers import ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
 
 BLOCK_SIZE = 1000
+
+# block b of config c draws from stream c * _CONFIG_STREAMS + b, the benchmark
+# reference from _REFERENCE_STREAM: more blocks than that would share streams
+_CONFIG_STREAMS = 1_000_000
+_REFERENCE_STREAM = 900_000
 
 METRICS = ("w2_gaussian", "chi2_hist", "mean_error")
 
@@ -123,17 +127,12 @@ def _check_keys(obj: dict, allowed: set, where: str):
             raise ConfigError(f"unknown key '{key}' in {where}")
 
 
-def _number(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _positive_number(value) -> bool:
-    return _number(value) and value > 0
+    return finite_number(value) and value > 0
 
 
 def _sampler_config(where: str, **fields) -> SamplerConfig:
@@ -142,6 +141,19 @@ def _sampler_config(where: str, **fields) -> SamplerConfig:
         return SamplerConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"{where}.{exc}") from exc
+
+
+def build_potential(name, params: dict) -> PotentialModel:
+    """The named built-in potential under the spec's rules; errors carry spec paths."""
+    if name not in VALID_POTENTIALS:
+        raise ConfigError(f"potential.name: unknown potential '{name}'; valid names: " + ", ".join(VALID_POTENTIALS))
+    _check_keys(params, set(POTENTIAL_PARAMS[name]), "potential.params")
+    try:
+        return builtin_potential(name, **params)
+    except ValueError as exc:  # its messages start with the parameter's name
+        raise ConfigError(f"potential.params.{exc}") from exc
+    except MemoryError as exc:  # only d sizes the model's arrays
+        raise ConfigError(f"potential.params.d is too large: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -180,19 +192,10 @@ def parse_config(text: str) -> ExperimentSpec:
     if not isinstance(pot, dict) or "name" not in pot:
         raise ConfigError("potential must be an object with a 'name'")
     _check_keys(pot, {"name", "params"}, "potential")
-    name = pot["name"]
-    if name not in VALID_POTENTIALS:
-        raise ConfigError(
-            f"potential.name '{name}' unknown; valid names: "
-            + ", ".join(VALID_POTENTIALS)
-        )
-    params = pot.get("params", {})
+    name, params = pot["name"], pot.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("potential.params must be an object")
-    _check_keys(params, set(POTENTIAL_PARAMS[name]), "potential.params")
-    for key, value in params.items():
-        if not _number(value):
-            raise ConfigError(f"potential.params.{key} must be a number")
+    model = build_potential(name, params)
 
     samplers_doc = doc.get("sampler")
     if not isinstance(samplers_doc, list) or not samplers_doc:
@@ -220,8 +223,12 @@ def parse_config(text: str) -> ExperimentSpec:
         raise ConfigError("horizon must be > 0")
 
     chains = doc.get("chains", 10000)
+    max_chains = _REFERENCE_STREAM * BLOCK_SIZE
     if not _integer(chains) or chains < 2:
         raise ConfigError("chains must be an integer >= 2")
+    if chains > max_chains:
+        raise ConfigError(f"chains must be at most {max_chains}: block b of sampler c draws from stream "
+                          f"c * {_CONFIG_STREAMS} + b, below the reference's {_REFERENCE_STREAM}")
     record_every = doc.get("record_every", 1)
     if not _integer(record_every) or record_every < 1:
         raise ConfigError("record_every must be a positive integer")
@@ -241,6 +248,14 @@ def parse_config(text: str) -> ExperimentSpec:
     if ref_doc["type"] == "closed_form":
         _check_keys(ref_doc, {"type"}, "reference")
         reference = "closed_form"
+        # what the potential must provide for the closed form of each metric
+        ok, needs = {
+            "w2_gaussian": (model.quadratic_hessian is not None, "a quadratic potential"),
+            "mean_error": (model.target_mean is not None, "a potential with a known mean"),
+            "chi2_hist": (model.dim == 1, "a 1D potential"),
+        }[metric]
+        if not ok:
+            raise ConfigError(f"reference.type closed_form with metric {metric} requires {needs}")
     elif ref_doc["type"] == "benchmark_run":
         _check_keys(ref_doc, {"type", "kind", "gamma", "step", "horizon", "chains"}, "reference")
         reference = "benchmark_run"
@@ -256,8 +271,8 @@ def parse_config(text: str) -> ExperimentSpec:
         if ref_horizon is not None and not _positive_number(ref_horizon):
             raise ConfigError("reference.horizon must be > 0")
         ref_chains = ref_doc.get("chains")
-        if ref_chains is not None and (not _integer(ref_chains) or ref_chains < 1):
-            raise ConfigError("reference.chains must be a positive integer")
+        if ref_chains is not None and (not _integer(ref_chains) or not 1 <= ref_chains <= max_chains):
+            raise ConfigError(f"reference.chains must be a positive integer at most {max_chains}, as chains")
         benchmark = BenchmarkSpec(
             kind=config.kind, gamma=config.gamma, step=config.step, horizon=ref_horizon, chains=ref_chains
         )
@@ -270,7 +285,7 @@ def parse_config(text: str) -> ExperimentSpec:
     _check_keys(init_doc, {"q", "p", "q_std", "p_std"}, "init")
     stds = {key: init_doc.get(key, 0.0) for key in ("q_std", "p_std")}
     for key, value in stds.items():
-        if not (_number(value) and value >= 0):
+        if not (finite_number(value) and value >= 0):
             raise ConfigError(f"init.{key} must be a number >= 0")
     init = InitSpec(
         q=init_doc.get("q", 1.0),
@@ -288,7 +303,7 @@ def parse_config(text: str) -> ExperimentSpec:
         raise ConfigError("histogram.bins must be an integer >= 2")
     lo, hi = hist_doc.get("lo"), hist_doc.get("hi")
     for key, value in (("lo", lo), ("hi", hi)):
-        if value is not None and not _number(value):
+        if value is not None and not finite_number(value):
             raise ConfigError(f"histogram.{key} must be a number")
     if lo is not None and hi is not None and lo >= hi:
         raise ConfigError("histogram.lo must be < histogram.hi")
@@ -306,21 +321,15 @@ def parse_config(text: str) -> ExperimentSpec:
         reference=reference,
         benchmark=benchmark,
         init=init,
-        hist_lo=lo,
-        hist_hi=hi,
+        hist_lo=None if lo is None else float(lo),
+        hist_hi=None if hi is None else float(hi),
         hist_bins=bins,
     )
-    try:
-        dim = spec.model().dim  # validates potential params eagerly
-    except ValueError as exc:
-        raise ConfigError(f"potential.params.{exc}") from exc
-    except MemoryError as exc:  # only d sizes the model's arrays
-        raise ConfigError(f"potential.params.d is too large: {exc}") from exc
     for key in ("q", "p"):
         value = getattr(init, key)
         values = value if isinstance(value, list) else [value]
-        if len(values) not in (1, dim) or not all(_number(v) for v in values):
-            raise ConfigError(f"init.{key} must be a number or a list of {dim} numbers")
+        if len(values) not in (1, model.dim) or not all(finite_number(v) for v in values):
+            raise ConfigError(f"init.{key} must be a number or a list of {model.dim} numbers")
     return spec
 
 
@@ -394,13 +403,16 @@ def _run_group(
     Block b draws only from ``RandomSource(spec.seed, streams[b])``.  A block
     with a non-finite row at step k stops there, charged n * k gradient
     rows; the other blocks carry on from step k, so each result equals the
-    block's own run.
+    block's own run.  Step k is recorded when it is in ``record_steps`` (a
+    range tests that by arithmetic) or is the last step.
     """
     sources = [RandomSource(spec.seed, stream) for stream in streams]
     state = _init_blocks(spec, model.dim, n, sources)
     results = [_BlockResult(sums=[], grad_evals=n * steps, diverged_at=None) for _ in streams]
     live = list(range(len(streams)))  # the block of each n-row slice of the state
-    record_set = set(record_steps)
+
+    def due(k):
+        return k in record_steps or k == steps
 
     def snapshot(state):
         for i, b in enumerate(live):
@@ -416,7 +428,7 @@ def _run_group(
             draws = _StackedDraws([sources[b] for b in live], n)
             try:
                 for j, state in iterate_chain(state, stepper, steps - done, draws):
-                    if done + j in record_set:
+                    if due(done + j):
                         snapshot(state)
                 done = steps
             except DivergenceError as exc:
@@ -429,7 +441,7 @@ def _run_group(
                 rows = np.repeat(finite, n)
                 live = [b for b, ok in zip(live, finite) if ok]
                 state = ChainState(q=q[rows], p=p[rows])
-                if live and done in record_set:
+                if live and due(done):
                     snapshot(state)
     return results
 
@@ -445,25 +457,6 @@ def _target_density_1d(model: PotentialModel) -> Callable:
         return np.exp(-vals) / norm
 
     return density
-
-
-def _closed_form_reference(spec: ExperimentSpec, model: PotentialModel):
-    if spec.metric == "w2_gaussian":
-        if model.quadratic_hessian is None:
-            raise ConfigError(
-                "closed_form w2_gaussian reference requires a quadratic potential"
-            )
-        cov = np.linalg.inv(model.quadratic_hessian)
-        return GaussianSummary(mean=np.zeros(model.dim), cov=cov)
-    if spec.metric == "mean_error":
-        if model.target_mean is None:
-            raise ConfigError(
-                f"potential '{model.name}' has no closed-form mean; use a benchmark_run reference"
-            )
-        return model.target_mean
-    if model.dim != 1:
-        raise ConfigError("chi2_hist metric requires a 1D potential")
-    return _target_density_1d(model)
 
 
 # bump when the cached summary's meaning or layout changes: old files then miss
@@ -505,8 +498,11 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
     chains = bench.chains or spec.chains
     config = SamplerConfig(kind=bench.kind, step=bench.step, gamma=bench.gamma, alpha=0.0)
     steps = max(1, int(round(horizon / bench.step)))
-    rng = RandomSource(spec.seed, 900_000)
-    state = _init_blocks(spec, model.dim, chains, [rng])
+    rng = RandomSource(spec.seed, _REFERENCE_STREAM)
+    try:
+        state = _init_blocks(spec, model.dim, chains, [rng])
+    except (MemoryError, ValueError) as exc:  # numpy cannot allocate, or even ask for, the state
+        raise ConfigError(f"reference.chains is too large: {exc}") from exc
     acc_q = np.zeros(model.dim)
     acc_qq = np.zeros((model.dim, model.dim))
     count = 0
@@ -519,9 +515,11 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
                 count += 1
     except DivergenceError as exc:
         raise ConfigError(f"reference run diverged at step {exc.step}") from exc
-    mean = acc_q / count
-    second = acc_qq / count
-    cov = second - np.outer(mean, mean)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        mean = acc_q / count
+        cov = acc_qq / count - np.outer(mean, mean)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):  # finite states, overflowed moments
+        raise ConfigError(f"reference run diverged: its moments overflowed by step {steps}")
     summary = GaussianSummary(mean=mean, cov=0.5 * (cov + cov.T))
     if cache_path is not None:
         # written beside the cache file, then renamed over it: a reader sees
@@ -580,11 +578,16 @@ def run_experiment(
     truncated and flagged, not fatal to the run.
     """
     model = spec.model()
-    if spec.reference == "closed_form":
-        reference = _closed_form_reference(spec, model)
-    else:
+    # parse_config checked that a closed-form reference exists for the model
+    if spec.reference == "benchmark_run":
         summary = _benchmark_reference(spec, model, cache_dir)
         reference = summary.mean if spec.metric == "mean_error" else summary
+    elif spec.metric == "w2_gaussian":
+        reference = GaussianSummary(mean=np.zeros(model.dim), cov=np.linalg.inv(model.quadratic_hessian))
+    elif spec.metric == "mean_error":
+        reference = model.target_mean
+    else:
+        reference = _target_density_1d(model)
     keep_samples = spec.metric == "chi2_hist"
 
     rows = []
@@ -593,7 +596,7 @@ def run_experiment(
     n_blocks = (spec.chains + BLOCK_SIZE - 1) // BLOCK_SIZE
     for c_idx, (config_id, config) in enumerate(spec.samplers):
         steps = spec.steps_for(config)
-        record_steps = sorted(set(range(0, steps + 1, spec.record_every)) | {steps})
+        record_steps = range(0, steps + 1, spec.record_every)  # and the last step
         sizes = [
             min(BLOCK_SIZE, spec.chains - b * BLOCK_SIZE) for b in range(n_blocks)
         ]
@@ -605,7 +608,7 @@ def run_experiment(
                 config,
                 steps,
                 record_steps,
-                streams=[c_idx * 1_000_000 + b for b in group],
+                streams=[c_idx * _CONFIG_STREAMS + b for b in group],
                 n=sizes[group[0]],
                 keep_samples=keep_samples,
             )
@@ -622,10 +625,11 @@ def run_experiment(
         first_bad = min(bad_steps) if bad_steps else None
         diverged[config_id] = first_bad
 
-        # every block records a prefix of record_steps; merge, in block
+        # every block records a prefix of the record steps; merge, in block
         # order, the records present in every block
-        usable = record_steps[: min(len(b.sums) for b in blocks)]
-        for i, k in enumerate(usable):
+        records = min(len(b.sums) for b in blocks)
+        for i in range(records):
+            k = min(i * spec.record_every, steps)
             # snapshots just before a blow-up can overflow the metric; the
             # row is flagged, so an inf value is fine
             with np.errstate(over="ignore", invalid="ignore"):
@@ -642,7 +646,7 @@ def run_experiment(
                         sum_q = sum_q + sq
                         sum_qq = sum_qq + sqq
                     value, stderr = _metric_value(spec, reference, n_total, sum_q, sum_qq, None)
-            flag = "diverged" if (first_bad is not None and k == usable[-1]) else ""
+            flag = "diverged" if (first_bad is not None and i == records - 1) else ""
             rows.append(
                 ResultRow(
                     config_id=config_id,
@@ -964,6 +968,7 @@ __all__ = [
     "ResultRow",
     "ResultSeries",
     "SweepRow",
+    "build_potential",
     "parse_config",
     "run_experiment",
     "sweep_iteration_complexity",

@@ -12,11 +12,12 @@ import numpy as np
 from .analysis import GaussianSummary
 
 
-def _psd_sqrt(S: np.ndarray) -> np.ndarray:
+def _psd_sqrt(S: np.ndarray, scale: float = 1.0) -> np.ndarray:
     # eigenvalue clamping keeps tiny negative sampling noise from poisoning
-    # the matrix square root
+    # the matrix square root; eigenvalues below -1e-10 * max(1, scale,
+    # largest eigenvalue) are not noise
     vals, vecs = np.linalg.eigh(S)
-    scale = max(1.0, float(vals.max(initial=0.0)))
+    scale = max(1.0, scale, float(vals.max(initial=0.0)))
     if vals.min(initial=0.0) < -1e-10 * scale:
         raise ValueError("covariance is not positive semi-definite")
     vals = np.clip(vals, 0.0, None)
@@ -32,7 +33,9 @@ def w2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
         raise ValueError("dimension mismatch")
     rb = _psd_sqrt(b.cov)
     _psd_sqrt(a.cov)  # validates PSD of the first argument too
-    cross = _psd_sqrt(rb @ a.cov @ rb)
+    # rb S_a rb scales a round-off residue of S_a by up to b's largest
+    # eigenvalue, which the trace bounds
+    cross = _psd_sqrt(rb @ a.cov @ rb, scale=float(np.trace(b.cov)))
     trace_term = float(np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
     gap = float(np.sum((a.mean - b.mean) ** 2)) + max(trace_term, 0.0)
     return math.sqrt(max(gap, 0.0))

@@ -7,23 +7,19 @@ vectorized batch of chains.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
-# name -> the parameters that potential takes
-POTENTIAL_PARAMS = {
-    "quadratic_iso": ("m", "d"),
-    "quadratic_aniso": ("m", "kappa", "d"),
-    "quartic": (),
-    "perturbed": (),
-    "bimodal": (),
-    "rosenbrock2d": (),
-    "coupled_logcosh": ("d", "shift"),
-}
-VALID_POTENTIALS = tuple(POTENTIAL_PARAMS)
+
+def finite_number(value) -> bool:
+    """A finite real number; JSON true/false load as bool, which Python counts as an int."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +64,6 @@ class GradientCheckReport:
     max_rel_error: float
     trials: int
     tol: float
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 def _quadratic(m: float, kappa: float, d: int) -> PotentialModel:
@@ -246,59 +237,61 @@ def _coupled_logcosh(d: int, shift: float = 0.0) -> PotentialModel:
     )
 
 
+# name -> (factory, parameters in order with their defaults); None marks a
+# required parameter
+POTENTIALS = {
+    "quadratic_iso": (functools.partial(_quadratic, kappa=1.0), {"m": 1.0, "d": 1}),
+    "quadratic_aniso": (_quadratic, {"m": None, "kappa": None, "d": None}),
+    "quartic": (_quartic, {}),
+    "perturbed": (_perturbed, {}),
+    "bimodal": (_bimodal, {}),
+    "rosenbrock2d": (_rosenbrock2d, {}),
+    "coupled_logcosh": (_coupled_logcosh, {"d": None, "shift": 0.0}),
+}
+POTENTIAL_PARAMS = {name: tuple(params) for name, (_, params) in POTENTIALS.items()}
+VALID_POTENTIALS = tuple(POTENTIALS)
+
+# parameter -> (type it is passed as, rules checked in order after
+# finite_number); every potential that takes the parameter shares them
+PARAM_RULES = {
+    "m": (float, ((lambda v: v > 0, "must be > 0"),)),
+    "kappa": (float, ((lambda v: v >= 1, "must be >= 1"),)),
+    # numpy cannot even ask for an array longer than sys.maxsize
+    "d": (int, ((lambda v: int(v) == v, "must be an integer"), (lambda v: v >= 1, "must be >= 1"),
+                (lambda v: v <= sys.maxsize, "is too large"))),
+    # past |shift| ~ 745 every quadrature weight of the target mean
+    # underflows to 0 and the mean is 0/0; at 700 it is still finite
+    "shift": (float, ((lambda v: abs(v) <= 700, "must be within [-700, 700]"),)),
+}
+
+
 def builtin_potential(name: str, **params) -> PotentialModel:
     """Construct one of the built-in target potentials.
 
-    Quadratics take ``m`` (curvature), ``kappa`` (condition number, aniso
-    only) and ``d``; ``coupled_logcosh`` takes ``d`` and an optional
-    ``shift``; the 1D/2D specials take no parameters.
+    ``POTENTIALS`` lists each name's parameters and defaults and
+    ``PARAM_RULES`` the rules of each parameter; a violation raises a
+    ValueError whose message starts with the parameter's name, which callers
+    may prefix with a path.
     """
     if name not in VALID_POTENTIALS:
         raise ValueError(
             f"unknown potential '{name}'; valid names: {', '.join(VALID_POTENTIALS)}"
         )
-
-    unexpected = sorted(set(params) - set(POTENTIAL_PARAMS[name]))
+    factory, defaults = POTENTIALS[name]
+    unexpected = sorted(set(params) - set(defaults))
     if unexpected:
         raise ValueError(f"unexpected parameters for '{name}': {', '.join(unexpected)}")
-
-    # messages start with the parameter's name, which callers may prefix with a path
-    def pop_int(key, default=None):
-        val = params.pop(key, default)
-        if val is None:
+    args = {}
+    for key, default in defaults.items():
+        value = params.get(key, default)
+        if value is None:
             raise ValueError(f"{key} is required by '{name}'")
-        if int(val) != val:
-            raise ValueError(f"{key} must be an integer")
-        return int(val)
-
-    if name == "quadratic_iso":
-        m = float(params.pop("m", 1.0))
-        d = pop_int("d", 1)
-        _require(m > 0, "m must be > 0")
-        _require(d >= 1, "d must be >= 1")
-        model = _quadratic(m, 1.0, d)
-    elif name == "quadratic_aniso":
-        m = float(params.pop("m", None) or 0.0)
-        kappa = float(params.pop("kappa", None) or 0.0)
-        d = pop_int("d")
-        _require(m > 0, "m must be > 0")
-        _require(kappa >= 1, "kappa must be >= 1")
-        _require(d >= 1, "d must be >= 1")
-        model = _quadratic(m, kappa, d)
-    elif name == "quartic":
-        model = _quartic()
-    elif name == "perturbed":
-        model = _perturbed()
-    elif name == "bimodal":
-        model = _bimodal()
-    elif name == "rosenbrock2d":
-        model = _rosenbrock2d()
-    else:
-        d = pop_int("d")
-        _require(d >= 1, "d must be >= 1")
-        shift = float(params.pop("shift", 0.0))
-        model = _coupled_logcosh(d, shift)
-    return model
+        cast, rules = PARAM_RULES[key]
+        for rule, message in ((finite_number, "must be a number"),) + rules:
+            if not rule(value):
+                raise ValueError(f"{key} {message}")
+        args[key] = cast(value)
+    return factory(**args)
 
 
 def gradient_check(

@@ -22,10 +22,6 @@ class RandomSource:
     def normals(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
 
-    def split(self, stream: int) -> "RandomSource":
-        """Derive the stream with the given index from the same seed."""
-        return RandomSource(self.seed, stream)
-
 
 class ZeroNoise:
     """Stands in for RandomSource where pure drift is wanted."""

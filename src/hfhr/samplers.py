@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .potentials import PotentialModel
+from .potentials import PotentialModel, finite_number
 from .rng import RandomSource
 
 
@@ -74,7 +73,7 @@ class SamplerConfig:
             raise ValueError(f"kind must be one of {', '.join(KINDS)}")
         for name in ("step", "gamma", "alpha"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)):
+            if not finite_number(value):
                 raise ValueError(f"{name} must be a finite number")
             object.__setattr__(self, name, float(value))
         if self.step <= 0:

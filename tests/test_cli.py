@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -41,6 +42,27 @@ class TestSample:
         )
         assert code == 2
         assert "error: potential.params.d is too large" in err
+
+    @pytest.mark.parametrize(
+        "potential, params, message",
+        [
+            ("quadratic_iso", ["m=inf"], "potential.params.m must be a number"),
+            ("coupled_logcosh", ["d=1", "shift=nan"], "potential.params.shift must be a number"),
+            ("coupled_logcosh", ["d=1", "shift=inf"], "potential.params.shift must be a number"),
+            ("coupled_logcosh", ["d=nan"], "potential.params.d must be a number"),
+            ("coupled_logcosh", ["d=1", "shift=701"], "potential.params.shift must be within [-700, 700]"),
+        ],
+    )
+    def test_params_follow_the_spec_rules(self, capsys, potential, params, message):
+        flags = [arg for param in params for arg in ("--param", param)]
+        code, out, err = run_cli(capsys, "sample", "--potential", potential, *flags, "--step", "0.1", "--steps", "3")
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
+
+    def test_negative_steps_fail_before_any_output(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--potential", "quartic", "--step", "0.1", "--steps", "-1")
+        assert (code, out) == (2, "")
+        assert "error: steps must be a non-negative integer" in err
 
 
 class TestTheory:
@@ -226,3 +248,61 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be a non-negative integer"),
+            (["--workers", "0"], "workers must be a positive integer"),
+            (["--workers", "-3"], "workers must be a positive integer"),
+        ],
+    )
+    def test_overrides_follow_the_spec_rules(self, tmp_path, capsys, flags, message):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "a", "kind": "ula", "step": 0.1}],
+            "chains": 10,
+            "steps": 3,
+        }))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(out_dir), *flags)
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
+        assert not out_dir.exists()
+
+    def test_fixed_start_against_a_wide_target_scores_w2(self, tmp_path, capsys):
+        # the step-0 sample variance is a round-off residue, -1.1e-16, and
+        # the target variance is 1e7
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1e-7, "d": 1}},
+            "sampler": [{"id": "u", "kind": "uld_klmc", "step": 0.1, "gamma": 2.0}],
+            "chains": 87,
+            "steps": 5,
+            "init": {"q": 0.75},
+        }
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(out_dir), "--format", "csv")
+        assert code == 0, err
+        rows = read_csv(str(out_dir / "results.csv"))
+        assert [r.step for r in rows] == list(range(6))
+        assert all(math.isfinite(r.value) for r in rows)
+
+    def test_seed_override_matches_the_seed_in_the_spec(self, tmp_path, capsys):
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "a", "kind": "ula", "step": 0.1}],
+            "chains": 10,
+            "steps": 3,
+        }
+        outputs = []
+        for seed_in_spec, flags in ((0, ["--seed", "7"]), (7, [])):
+            cfg = tmp_path / f"exp{seed_in_spec}.json"
+            cfg.write_text(json.dumps({**doc, "seed": seed_in_spec}))
+            out_dir = tmp_path / f"o{seed_in_spec}"
+            code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(out_dir), "--format", "csv", *flags)
+            assert code == 0, err
+            outputs.append((out_dir / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]

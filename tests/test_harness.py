@@ -183,6 +183,47 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="benchmark_run supports w2_gaussian and mean_error"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "potential, metric, message",
+        [
+            ({"name": "perturbed"}, "mean_error", "metric mean_error requires a potential with a known mean"),
+            ({"name": "quadratic_iso", "params": {"d": 2}}, "chi2_hist", "metric chi2_hist requires a 1D potential"),
+        ],
+    )
+    def test_closed_form_reference_needs_are_checked_at_parse_time(self, potential, metric, message):
+        with pytest.raises(ConfigError, match=re.escape(f"reference.type closed_form with {message}")):
+            parse_config(json.dumps(minimal_doc(potential=potential, metric=metric)))
+
+    def test_shift_is_bounded_where_the_target_mean_is_finite(self):
+        def doc(shift):
+            potential = {"name": "coupled_logcosh", "params": {"d": 1, "shift": shift}}
+            return json.dumps(minimal_doc(potential=potential, metric="mean_error"))
+
+        assert np.isfinite(parse_config(doc(700)).model().target_mean).all()
+        for shift in (701, -800):
+            with pytest.raises(ConfigError, match=re.escape("potential.params.shift must be within [-700, 700]")):
+                parse_config(doc(shift))
+
+    def test_aniso_quadratic_requires_m(self):
+        doc = minimal_doc(potential={"name": "quadratic_aniso", "params": {"kappa": 2.0, "d": 2}})
+        with pytest.raises(ConfigError, match=re.escape("potential.params.m is required by 'quadratic_aniso'")):
+            parse_config(json.dumps(doc))
+
+    def test_chains_stop_where_block_streams_would_reach_the_reference(self):
+        # block b of sampler c draws from stream c * 1,000,000 + b and the
+        # reference from 900,000; parsing allocates nothing per chain
+        assert parse_config(json.dumps(minimal_doc(chains=900_000_000))).chains == 900_000_000
+        for chains in (900_000_001, 10**12):
+            with pytest.raises(ConfigError, match="chains must be at most 900000000"):
+                parse_config(json.dumps(minimal_doc(chains=chains)))
+            with pytest.raises(ConfigError, match="reference.chains must be a positive integer at most 900000000"):
+                parse_config(json.dumps(self.reference_doc(chains=chains)))
+
+    def test_histogram_range_is_stored_as_floats(self):
+        # a JSON integer of 10**30 would make numpy build object arrays
+        spec = parse_config(json.dumps(minimal_doc(metric="chi2_hist", histogram={"lo": -5, "hi": 10**30})))
+        assert (type(spec.hist_lo), type(spec.hist_hi)) == (float, float)
+
 
 def small_spec(**overrides):
     doc = minimal_doc(
@@ -337,6 +378,56 @@ class TestRunExperiment:
             run_experiment(spec, cache_dir=str(cache))
         assert list(cache.iterdir()) == []
 
+    def test_an_integer_histogram_bound_runs(self):
+        doc = minimal_doc(chains=20, steps=2, record_every=1, metric="chi2_hist", histogram={"lo": -5, "hi": 10**30})
+        del doc["horizon"]
+        series = run_experiment(parse_config(json.dumps(doc)))
+        assert [r.step for r in series.rows] == [0, 1, 2]
+
+    def test_record_steps_are_decided_by_arithmetic(self, monkeypatch):
+        # no list or set of every record step is built before the first step
+        class FirstGroup(Exception):
+            pass
+
+        def first_group(spec, model, config, steps, record_steps, streams, n, keep_samples):
+            raise FirstGroup(steps, record_steps)
+
+        monkeypatch.setattr(harness, "_run_group", first_group)
+        for steps in (50, 10**12):  # a list at 50 fails before 10**12 is tried
+            doc = minimal_doc(steps=steps, record_every=7)
+            del doc["horizon"]
+            with pytest.raises(FirstGroup) as exc:
+                run_experiment(parse_config(json.dumps(doc)))
+            assert exc.value.args == (steps, range(0, steps + 1, 7))
+
+    def test_record_steps_end_at_the_last_step(self):
+        doc = minimal_doc(chains=10, steps=50, record_every=7)
+        del doc["horizon"]
+        series = run_experiment(parse_config(json.dumps(doc)))
+        assert [r.step for r in series.rows] == [0, 7, 14, 21, 28, 35, 42, 49, 50]
+
+    @pytest.mark.parametrize("metric", ["mean_error", "w2_gaussian"])
+    def test_reference_whose_moments_overflow_diverged(self, tmp_path, metric):
+        # ula at h = 2.5 multiplies q by -1.5 per step: by step 1000 of the
+        # reference q^2 overflows, though q itself stays finite
+        doc = minimal_doc(
+            chains=10,
+            metric=metric,
+            reference={"type": "benchmark_run", "kind": "ula", "step": 2.5, "horizon": 2500.0, "chains": 10},
+        )
+        with pytest.raises(ConfigError, match="reference run diverged: its moments overflowed by step 1000"):
+            run_experiment(parse_config(json.dumps(doc)), cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reference_too_large_to_allocate_is_config_error(self, monkeypatch):
+        def no_memory(spec, dim, n, sources):
+            raise MemoryError(f"Unable to allocate {n} rows")
+
+        monkeypatch.setattr(harness, "_init_blocks", no_memory)
+        doc = minimal_doc(metric="mean_error", reference={"type": "benchmark_run", "chains": 900_000_000})
+        with pytest.raises(ConfigError, match="reference.chains is too large: Unable to allocate 900000000 rows"):
+            run_experiment(parse_config(json.dumps(doc)))
+
     def test_samples_where_the_target_has_no_mass_score_infinite_chi2(self):
         # one step of h = 1.3 throws chains far out of the double well, where
         # the target density underflows to 0 inside the automatic range
@@ -372,9 +463,8 @@ class TestRunExperiment:
 
     def test_closed_form_requires_quadratic_for_w2(self):
         doc = minimal_doc(potential={"name": "bimodal", "params": {}})
-        spec = parse_config(json.dumps(doc))
         with pytest.raises(ConfigError, match="quadratic"):
-            run_experiment(spec)
+            parse_config(json.dumps(doc))
 
 
 def serial_block(spec, model, config, steps, record_steps, stream, n, keep_samples):
@@ -488,6 +578,7 @@ class TestStackedBlocks:
             init={"q": 0.5, "p": 0.0, "q_std": 0.3, "p_std": 0.3},
             steps=12,
             record_every=3,
+            reference={"type": "benchmark_run"},  # parses on every potential; never run here
         )
         del doc["horizon"]
         spec = parse_config(json.dumps(doc))

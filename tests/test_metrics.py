@@ -77,6 +77,15 @@ class TestW2Gaussian:
                 GaussianSummary([0.0, 0.0], np.eye(2)),
             )
 
+    def test_round_off_residue_against_a_wide_reference(self):
+        # a fixed start's sample variance is a -1.1e-16 residue; the cross
+        # term scales it by the reference variance 1e7 to -1.1e-9
+        a = GaussianSummary([0.75], [[-1.1e-16]])
+        b = GaussianSummary([0.0], [[1e7]])
+        assert w2_gaussian(a, b) == pytest.approx(math.sqrt(0.75**2 + 1e7), rel=1e-12)
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            w2_gaussian(GaussianSummary([0.75], [[-1e-3]]), b)
+
 
 class TestEmpiricalMoments:
     def test_two_point_antipodal(self):
