@@ -7,7 +7,8 @@ worker count.
 
 Consecutive equal-size blocks of a config step as one stacked state, each
 block still on its own stream (``_run_group``); these groups are the thread
-pool's tasks.
+pool's tasks.  A config's records are merged and scored as stacked arrays
+(``_moment_values``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analysis import GaussianSummary
-from .metrics import chi2_histogram, w2_gaussian
+from .metrics import chi2_histogram, w2_gaussian_stack
+from .metrics import w2_gaussian  # noqa: F401  perfbench's tracer wraps harness.w2_gaussian
 from .potentials import POTENTIAL_PARAMS, VALID_POTENTIALS, PotentialModel, builtin_potential, finite_number
 from .rng import RandomSource
 from .samplers import ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
@@ -88,6 +90,10 @@ class ExperimentSpec:
         if self.steps is not None:
             return self.steps
         return max(1, int(round(self.horizon / config.step)))
+
+    def reference_horizon(self) -> float:
+        """The benchmark reference's horizon: its own, or 10x the experiment's."""
+        return self.benchmark.horizon or (10.0 * (self.horizon or 1.0))
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,10 @@ def parse_config(text: str) -> ExperimentSpec:
         raise ConfigError("steps must be a positive integer")
     if horizon is not None and not _positive_number(horizon):
         raise ConfigError("horizon must be > 0")
+    if horizon is not None:
+        for i, (_, config) in enumerate(samplers):
+            if not math.isfinite(horizon / config.step):
+                raise ConfigError(f"sampler[{i}].step: the ratio horizon / step overflows")
 
     chains = doc.get("chains", 10000)
     max_chains = _REFERENCE_STREAM * BLOCK_SIZE
@@ -325,6 +335,9 @@ def parse_config(text: str) -> ExperimentSpec:
         hist_hi=None if hi is None else float(hi),
         hist_bins=bins,
     )
+    if benchmark is not None and not math.isfinite(spec.reference_horizon() / benchmark.step):
+        raise ConfigError("reference.horizon: its ratio to reference.step overflows "
+                          "(an unset reference.horizon is 10 x horizon)")
     for key in ("q", "p"):
         value = getattr(init, key)
         values = value if isinstance(value, list) else [value]
@@ -354,7 +367,8 @@ class _BlockResult:
 
 
 # a group stacks equal-size blocks up to about one d = 100 block of
-# coordinates: every d = 1 block of a config fits, a d = 100 block stands alone
+# coordinates: every d = 1 block of a config fits, a d = 100 block stands
+# alone.  The record merge stacks records up to as many covariance entries
 _STACK_COORDS = 100_000
 
 
@@ -407,7 +421,10 @@ def _run_group(
     range tests that by arithmetic) or is the last step.
     """
     sources = [RandomSource(spec.seed, stream) for stream in streams]
-    state = _init_blocks(spec, model.dim, n, sources)
+    try:
+        state = _init_blocks(spec, model.dim, n, sources)
+    except (MemoryError, ValueError) as exc:  # numpy cannot allocate, or even ask for, the state
+        raise ConfigError(f"chains and potential.params.d are too large for a block of {n} chains: {exc}") from exc
     results = [_BlockResult(sums=[], grad_evals=n * steps, diverged_at=None) for _ in streams]
     live = list(range(len(streams)))  # the block of each n-row slice of the state
 
@@ -415,9 +432,17 @@ def _run_group(
         return k in record_steps or k == steps
 
     def snapshot(state):
+        if keep_samples:
+            for i, b in enumerate(live):
+                results[b].sums.append(state.q[i * n:(i + 1) * n].copy())
+            return
+        # every live block's moments at once: the same sums and syrk products
+        # as each block's (n, d) rows would give alone
+        qs = state.q.reshape(len(live), n, -1)
+        sum_q = qs.sum(axis=1)
+        sum_qq = np.matmul(qs.transpose(0, 2, 1), qs)
         for i, b in enumerate(live):
-            q = state.q[i * n:(i + 1) * n]
-            results[b].sums.append(q.copy() if keep_samples else (n, q.sum(axis=0), q.T @ q))
+            results[b].sums.append((n, sum_q[i], sum_qq[i]))
 
     snapshot(state)  # step 0 is always a record step
     stepper = make_stepper(model, config)
@@ -471,7 +496,7 @@ def _benchmark_key(spec: ExperimentSpec) -> str:
             spec.benchmark.kind,
             spec.benchmark.gamma,
             spec.benchmark.step,
-            spec.benchmark.horizon or (10.0 * (spec.horizon or 1.0)),
+            spec.reference_horizon(),
             spec.benchmark.chains or spec.chains,
         ],
         "seed": spec.seed,
@@ -494,7 +519,7 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
             return GaussianSummary(np.array(payload["mean"]), np.array(payload["cov"]))
 
     bench = spec.benchmark
-    horizon = bench.horizon or (10.0 * (spec.horizon or 1.0))
+    horizon = spec.reference_horizon()
     chains = bench.chains or spec.chains
     config = SamplerConfig(kind=bench.kind, step=bench.step, gamma=bench.gamma, alpha=0.0)
     steps = max(1, int(round(horizon / bench.step)))
@@ -535,36 +560,54 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
     return summary
 
 
-def _metric_value(spec, reference, n_total, sum_q, sum_qq, samples):
-    if spec.metric == "chi2_hist":
-        x = samples
-        lo = spec.hist_lo
-        hi = spec.hist_hi
-        if lo is None or hi is None:
-            mu, sd = float(x.mean()), float(x.std())
-            if lo is None and hi is None and x.min() == x.max():
-                # every chain at one point (a fixed start): sd is 0, or a
-                # round-off residue too small to hold the bins; use mu +- 1
-                sd = 1.0 / 6.0
-            lo = mu - 6.0 * sd if lo is None else lo
-            hi = mu + 6.0 * sd if hi is None else hi
-        try:
-            return chi2_histogram(x, reference, lo, hi, spec.hist_bins), None
-        except ValueError:
-            # a bin holds samples where the target's mass underflows to 0, or
-            # the samples overflow the range: the divergence is infinite
-            return math.inf, None
-    mean = sum_q / n_total
-    cov = sum_qq / (n_total - 1) - np.outer(mean, mean) * (n_total / (n_total - 1))
-    cov = 0.5 * (cov + cov.T)
-    if spec.metric == "mean_error":
-        stderr = math.sqrt(max(np.trace(cov), 0.0) / n_total)
-        return float(np.linalg.norm(mean - reference)), stderr
-    if not np.all(np.isfinite(cov)):
-        # the second moments overflowed on the way to a blow-up: no distance
-        return math.nan, None
-    summary = GaussianSummary(mean=mean, cov=cov)
-    return w2_gaussian(summary, reference), None
+def _chi2_value(spec, reference, x) -> float:
+    lo = spec.hist_lo
+    hi = spec.hist_hi
+    if lo is None or hi is None:
+        mu, sd = float(x.mean()), float(x.std())
+        if lo is None and hi is None and x.min() == x.max():
+            # every chain at one point (a fixed start): sd is 0, or a
+            # round-off residue too small to hold the bins; use mu +- 1
+            sd = 1.0 / 6.0
+        lo = mu - 6.0 * sd if lo is None else lo
+        hi = mu + 6.0 * sd if hi is None else hi
+    try:
+        return chi2_histogram(x, reference, lo, hi, spec.hist_bins)
+    except ValueError:
+        # a bin holds samples where the target's mass underflows to 0, or
+        # the samples overflow the range: the divergence is infinite
+        return math.inf
+
+
+def _moment_values(spec, reference, blocks, records, dim):
+    """(values, stderrs) of the first ``records`` records from the blocks' sums.
+
+    Records go in chunks of at most _STACK_COORDS covariance entries.  In a
+    chunk, the blocks' sums are stacked over the records and added in block
+    order, then every record's mean, covariance and metric is taken at once.
+    """
+    n_total = sum(b.sums[0][0] for b in blocks)
+    chunk = max(1, _STACK_COORDS // (dim * dim))
+    values, stderrs = [], []
+    for lo in range(0, records, chunk):
+        hi = min(lo + chunk, records)
+        sum_q = np.zeros((hi - lo, dim))
+        sum_qq = np.zeros((hi - lo, dim, dim))
+        for b in blocks:
+            sum_q = sum_q + np.array([sums[1] for sums in b.sums[lo:hi]])
+            sum_qq = sum_qq + np.array([sums[2] for sums in b.sums[lo:hi]])
+        mean = sum_q / n_total
+        cov = sum_qq / (n_total - 1) - mean[:, :, None] * mean[:, None, :] * (n_total / (n_total - 1))
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        if spec.metric == "w2_gaussian":
+            values.extend(w2_gaussian_stack(mean, cov, reference).tolist())
+            stderrs.extend([None] * (hi - lo))
+        else:  # mean_error: sqrt(dot(x, x)) record by record, as np.linalg.norm takes it
+            diff = mean - reference
+            values.extend(np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]).tolist())
+            trace = np.trace(cov, axis1=1, axis2=2)
+            stderrs.extend(np.sqrt(np.where(0.0 > trace, 0.0, trace) / n_total).tolist())
+    return values, stderrs
 
 
 def run_experiment(
@@ -626,26 +669,21 @@ def run_experiment(
         diverged[config_id] = first_bad
 
         # every block records a prefix of the record steps; merge, in block
-        # order, the records present in every block
+        # order, the records present in every block. Snapshots just before a
+        # blow-up can overflow the metric; the row is flagged, so an inf
+        # value is fine
         records = min(len(b.sums) for b in blocks)
-        for i in range(records):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if keep_samples:
+                values = [
+                    _chi2_value(spec, reference, np.concatenate([b.sums[i] for b in blocks]).ravel())
+                    for i in range(records)
+                ]
+                stderrs = [None] * records
+            else:
+                values, stderrs = _moment_values(spec, reference, blocks, records, model.dim)
+        for i, (value, stderr) in enumerate(zip(values, stderrs)):
             k = min(i * spec.record_every, steps)
-            # snapshots just before a blow-up can overflow the metric; the
-            # row is flagged, so an inf value is fine
-            with np.errstate(over="ignore", invalid="ignore"):
-                if keep_samples:
-                    samples = np.concatenate([b.sums[i] for b in blocks]).ravel()
-                    value, stderr = _metric_value(spec, reference, None, None, None, samples)
-                else:
-                    n_total = 0
-                    sum_q = np.zeros(model.dim)
-                    sum_qq = np.zeros((model.dim, model.dim))
-                    for b in blocks:
-                        n, sq, sqq = b.sums[i]
-                        n_total += n
-                        sum_q = sum_q + sq
-                        sum_qq = sum_qq + sqq
-                    value, stderr = _metric_value(spec, reference, n_total, sum_q, sum_qq, None)
             flag = "diverged" if (first_bad is not None and i == records - 1) else ""
             rows.append(
                 ResultRow(

@@ -13,15 +13,43 @@ from .analysis import GaussianSummary
 
 
 def _psd_sqrt(S: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Square root of each symmetric PSD matrix of a (..., d, d) stack."""
     # eigenvalue clamping keeps tiny negative sampling noise from poisoning
     # the matrix square root; eigenvalues below -1e-10 * max(1, scale,
     # largest eigenvalue) are not noise
     vals, vecs = np.linalg.eigh(S)
-    scale = max(1.0, scale, float(vals.max(initial=0.0)))
-    if vals.min(initial=0.0) < -1e-10 * scale:
+    scales = np.maximum(max(1.0, scale), vals.max(axis=-1, initial=0.0))
+    if np.any(vals.min(axis=-1, initial=0.0) < -1e-10 * scales):
         raise ValueError("covariance is not positive semi-definite")
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
+
+
+def w2_gaussian_stack(means: np.ndarray, covs: np.ndarray, b: GaussianSummary) -> np.ndarray:
+    """w2_gaussian of each N(means[r], covs[r]) against b, for (R, d) means
+    and (R, d, d) covariances.
+
+    The covariances are symmetrized as GaussianSummary does; one with a
+    non-finite entry (moments that overflowed) has no distance and gets nan.
+    b's square root and trace are taken once for the whole stack.
+    """
+    if means.shape[-1] != b.dim:
+        raise ValueError("dimension mismatch")
+    covs = 0.5 * (covs + covs.swapaxes(-1, -2))
+    finite = np.isfinite(covs).all(axis=(-2, -1))
+    out = np.full(len(covs), math.nan)
+    rb = _psd_sqrt(b.cov)
+    S = covs[finite]
+    _psd_sqrt(S)  # validates PSD of the stack too
+    # rb S rb scales a round-off residue of S by up to b's largest
+    # eigenvalue, which the trace bounds
+    tr_b = np.trace(b.cov)
+    cross = _psd_sqrt(rb @ S @ rb, scale=float(tr_b))
+    trace_term = np.trace(S, axis1=-2, axis2=-1) + tr_b - 2.0 * np.trace(cross, axis1=-2, axis2=-1)
+    # np.where(0.0 > x, 0.0, x) is max(x, 0.0): nan stays nan
+    gap = np.sum((means[finite] - b.mean) ** 2, axis=-1) + np.where(0.0 > trace_term, 0.0, trace_term)
+    out[finite] = np.sqrt(np.where(0.0 > gap, 0.0, gap))
+    return out
 
 
 def w2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
@@ -29,16 +57,7 @@ def w2_gaussian(a: GaussianSummary, b: GaussianSummary) -> float:
 
     sqrt(||m_a - m_b||^2 + tr(S_a + S_b - 2 (S_b^1/2 S_a S_b^1/2)^1/2)).
     """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    rb = _psd_sqrt(b.cov)
-    _psd_sqrt(a.cov)  # validates PSD of the first argument too
-    # rb S_a rb scales a round-off residue of S_a by up to b's largest
-    # eigenvalue, which the trace bounds
-    cross = _psd_sqrt(rb @ a.cov @ rb, scale=float(np.trace(b.cov)))
-    trace_term = float(np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
-    gap = float(np.sum((a.mean - b.mean) ** 2)) + max(trace_term, 0.0)
-    return math.sqrt(max(gap, 0.0))
+    return float(w2_gaussian_stack(a.mean[None], a.cov[None], b)[0])
 
 
 def empirical_moments(samples) -> GaussianSummary:
@@ -154,6 +173,7 @@ def loglog_slope(xs, ys) -> tuple[float, float, float]:
 __all__ = [
     "HistogramDensity",
     "w2_gaussian",
+    "w2_gaussian_stack",
     "empirical_moments",
     "chi2_histogram",
     "chi2_gaussian_1d",

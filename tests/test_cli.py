@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hfhr import harness
 from hfhr.cli import main
 from hfhr.harness import read_csv
 
@@ -206,6 +207,24 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert "error: potential.params.d is too large" in err
+
+    def test_blocks_too_large_to_allocate_are_config_error(self, tmp_path, capsys, monkeypatch):
+        # the model of d = 10**6 fits; a block of 1,000 such chains is 7.45 GiB
+        def no_memory(spec, dim, n, sources):
+            raise MemoryError(f"Unable to allocate an array with shape ({n}, {dim})")
+
+        monkeypatch.setattr(harness, "_init_blocks", no_memory)
+        doc = {
+            "potential": {"name": "coupled_logcosh", "params": {"d": 1000000}},
+            "sampler": [{"id": "a", "kind": "ula", "step": 0.1}],
+            "steps": 3,
+            "metric": "mean_error",
+        }
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: chains and potential.params.d are too large" in err
 
     def test_diverging_config_still_plots(self, tmp_path, capsys):
         # the diverging sampler's last records overflow the metric to inf

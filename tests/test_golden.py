@@ -30,6 +30,38 @@ RAGGED_DIVERGING = {
     "init": {"q": 1.0, "p": 0.0, "q_std": 0.5, "p_std": 0.25},
 }
 
+# d = 3: stacked moments, eigh, matmul and trace over more than one coordinate.
+# A record every step on 2,500 chains, with a sampler that leaves the finite
+# floats at step 251 after its second moments overflow (nan rows)
+ANISO_DENSE = {
+    "potential": {"name": "quadratic_aniso", "params": {"m": 1.0, "kappa": 4.0, "d": 3}},
+    "sampler": [
+        {"id": "uld", "kind": "uld_klmc", "gamma": 2.0, "step": 0.1},
+        {"id": "strang", "kind": "hfhr_strang", "alpha": 0.5, "gamma": 2.0, "step": 0.1},
+        {"id": "blowup", "kind": "hfhr_strang", "alpha": 1.0, "gamma": 2.0, "step": 3.0},
+    ],
+    "chains": 2500,
+    "steps": 300,
+    "record_every": 1,
+    "seed": 13,
+    "init": {"q": [1.0, -0.5, 0.25], "p": 0.0, "q_std": 0.5, "p_std": 0.25},
+}
+
+# d = 3 mean_error, with its stderr column, on a non-quadratic potential
+LOGCOSH_MEAN = {
+    "potential": {"name": "coupled_logcosh", "params": {"d": 3, "shift": 1.0}},
+    "sampler": [
+        {"id": "ula", "kind": "ula", "step": 0.1},
+        {"id": "em", "kind": "hfhr_em", "alpha": 1.0, "gamma": 2.0, "step": 0.1},
+    ],
+    "chains": 2500,
+    "steps": 100,
+    "record_every": 5,
+    "seed": 5,
+    "metric": "mean_error",
+    "init": {"q": 1.0, "p": 0.0, "q_std": 0.5},
+}
+
 GOLDEN = {
     "gaussian1d": {
         "results.csv": "cc432ac64cb9f3ecbc2b6f571d25d5d3f59e5f71b77b1a62edac4dd0378c9918",
@@ -38,6 +70,14 @@ GOLDEN = {
     # CSV only: the diverging sampler's last rows overflow the plot scale
     "ragged_diverging": {
         "results.csv": "740d8c263169fb585f1f29d30a727d4d52e43b8b020f09098d2674d3599cc87b",
+    },
+    "aniso_dense": {
+        "results.csv": "b8b253a701a0fec64d824eb183484efc14a47fea525317a5c3008b4e3243a52a",
+        "results.svg": "15eab962cf12a1dd6d02003acc8780409735379f0c1569e3cc41ee39ca27e639",
+    },
+    "logcosh_mean": {
+        "results.csv": "0ab97140f173a88c1c3f5bc72d1efc8f4d071905843374b22eb8ae9d21a66955",
+        "results.svg": "42b002f70665ced8db0d41987951a6465633b4d0666a6ce49dab98e99190c2d1",
     },
 }
 
@@ -67,3 +107,14 @@ def test_ragged_diverging_bytes(tmp_path, capsys, workers):
     assert code == 0, err
     assert "warning: blowup diverged at step 251" in err
     assert {name: sha256(out_dir / name) for name in GOLDEN["ragged_diverging"]} == GOLDEN["ragged_diverging"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, doc", [("aniso_dense", ANISO_DENSE), ("logcosh_mean", LOGCOSH_MEAN)])
+def test_three_dimensional_bytes(tmp_path, capsys, name, doc, workers):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, err = run(capsys, config, out_dir, workers)
+    assert code == 0, err
+    assert {file: sha256(out_dir / file) for file in GOLDEN[name]} == GOLDEN[name]

@@ -46,6 +46,14 @@ class TestParseConfig:
         assert spec.metric == "w2_gaussian"
         assert spec.reference == "closed_form"
 
+    def test_steps_that_overflow_are_rejected(self):
+        doc = minimal_doc(horizon=1e300)
+        doc["sampler"].append({"id": "tiny", "kind": "ula", "step": 1e-10})
+        with pytest.raises(ConfigError, match=re.escape("sampler[1].step: the ratio horizon / step overflows")):
+            parse_config(json.dumps(doc))
+        doc["sampler"][1]["step"] = 1e-7  # 1e307 steps: huge but finite
+        assert parse_config(json.dumps(doc)).steps_for(SamplerConfig(kind="ula", step=1e-7)) > 10**306
+
     def test_negative_step_message(self):
         doc = minimal_doc()
         doc["sampler"][0]["step"] = -0.1
@@ -147,6 +155,19 @@ class TestParseConfig:
         for horizon in ("x", 0.0, -2.0):
             with pytest.raises(ConfigError, match=re.escape("reference.horizon must be > 0")):
                 parse_config(json.dumps(self.reference_doc(horizon=horizon)))
+
+    def test_reference_steps_that_overflow_are_rejected(self):
+        doc = self.reference_doc(step=1e-300, horizon=1e300)
+        with pytest.raises(ConfigError, match=re.escape("reference.horizon: its ratio to reference.step overflows")):
+            parse_config(json.dumps(doc))
+        # unset, the reference horizon is 10 x horizon, which itself overflows
+        doc = self.reference_doc()
+        doc["horizon"] = 1e308
+        doc["sampler"][0]["step"] = 1e300
+        with pytest.raises(ConfigError, match=re.escape("reference.horizon: its ratio")):
+            parse_config(json.dumps(doc))
+        # huge but finite: a valid, endless run
+        assert parse_config(json.dumps(self.reference_doc(step=1e-7, horizon=1e300))).benchmark.horizon == 1e300
 
     def test_reference_gamma_checked(self):
         with pytest.raises(ConfigError, match=re.escape("reference.gamma must be a finite number")):
@@ -428,6 +449,16 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="reference.chains is too large: Unable to allocate 900000000 rows"):
             run_experiment(parse_config(json.dumps(doc)))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_too_large_to_allocate_are_config_error(self, monkeypatch, workers):
+        def no_memory(spec, dim, n, sources):
+            raise MemoryError(f"Unable to allocate {n} x {dim}")
+
+        monkeypatch.setattr(harness, "_init_blocks", no_memory)
+        doc = minimal_doc(potential={"name": "coupled_logcosh", "params": {"d": 10**6}}, metric="mean_error")
+        with pytest.raises(ConfigError, match="chains and potential.params.d are too large .*1000 x 1000000"):
+            run_experiment(parse_config(json.dumps(doc)), workers=workers)
+
     def test_samples_where_the_target_has_no_mass_score_infinite_chi2(self):
         # one step of h = 1.3 throws chains far out of the double well, where
         # the target density underflows to 0 inside the automatic range
@@ -604,6 +635,33 @@ class TestStackedBlocks:
             [[0, 1], [2]],
             [[1_000_000, 1_000_001], [1_000_002]],
         ]
+
+    @pytest.mark.parametrize("metric", ["w2_gaussian", "mean_error"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_record_chunks_do_not_change_the_rows(self, monkeypatch, metric, d):
+        # _STACK_COORDS also bounds the merge's record chunks: at 1 each
+        # record is a chunk of its own, at 7 the 26 records of d = 1 split
+        # 7, 7, 7, 5 and those of d = 2 go one by one
+        doc = minimal_doc(
+            potential={"name": "quadratic_aniso", "params": {"m": 1.0, "kappa": 4.0, "d": d}},
+            chains=2500,
+            steps=25,
+            record_every=1,
+            metric=metric,
+            init={"q": 1.0, "q_std": 0.5},
+        )
+        del doc["horizon"]
+        doc["sampler"].append({"id": "ula", "kind": "ula", "step": 0.2})
+        spec = parse_config(json.dumps(doc))
+
+        def rows():
+            return [(r.config_id, r.step, repr(r.value), repr(r.stderr), r.flag) for r in run_experiment(spec).rows]
+
+        expected = rows()
+        assert len(expected) == 52
+        for coords in (1, 7):
+            monkeypatch.setattr(harness, "_STACK_COORDS", coords)
+            assert rows() == expected
 
     def test_blocks_of_one_group_diverge_at_their_own_steps(self, recorded_groups, monkeypatch):
         # ula at h = 0.5 on the quartic throws out chains that wander past

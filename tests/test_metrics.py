@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hfhr.analysis import GaussianSummary
@@ -13,6 +15,7 @@ from hfhr.metrics import (
     loglog_slope,
     mean_error,
     w2_gaussian,
+    w2_gaussian_stack,
 )
 
 
@@ -85,6 +88,69 @@ class TestW2Gaussian:
         assert w2_gaussian(a, b) == pytest.approx(math.sqrt(0.75**2 + 1e7), rel=1e-12)
         with pytest.raises(ValueError, match="positive semi-definite"):
             w2_gaussian(GaussianSummary([0.75], [[-1e-3]]), b)
+
+
+def one_pair_w2(a, b):
+    """The Bures W2 of one pair, matrix by matrix: the stacked form's reference."""
+
+    def psd_sqrt(S, scale=1.0):
+        vals, vecs = np.linalg.eigh(S)
+        scale = max(1.0, scale, float(vals.max(initial=0.0)))
+        if vals.min(initial=0.0) < -1e-10 * scale:
+            raise ValueError("covariance is not positive semi-definite")
+        vals = np.clip(vals, 0.0, None)
+        return (vecs * np.sqrt(vals)) @ vecs.T
+
+    rb = psd_sqrt(b.cov)
+    psd_sqrt(a.cov)
+    cross = psd_sqrt(rb @ a.cov @ rb, scale=float(np.trace(b.cov)))
+    trace_term = float(np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
+    gap = float(np.sum((a.mean - b.mean) ** 2)) + max(trace_term, 0.0)
+    return math.sqrt(max(gap, 0.0))
+
+
+@st.composite
+def psd_stacks(draw):
+    """(means, covs, reference): a stack of random PSD Gaussians, some rank-deficient."""
+    d = draw(st.sampled_from([1, 2, 5]))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cov():
+        A = rng.standard_normal((d, draw(st.integers(1, d)))) * draw(st.sampled_from([1e-6, 1.0, 1e3]))
+        return A @ A.T
+
+    means = rng.standard_normal((rows, d)) * 3.0
+    covs = np.array([cov() for _ in range(rows)])
+    return means, covs, GaussianSummary(rng.standard_normal(d), cov() + 0.1 * np.eye(d))
+
+
+class TestW2GaussianStack:
+    @settings(max_examples=200, deadline=None)
+    @given(psd_stacks())
+    def test_each_entry_is_the_one_pair_distance_bit_for_bit(self, case):
+        means, covs, b = case
+        stacked = w2_gaussian_stack(means, covs, b)
+        for r, got in enumerate(stacked.tolist()):
+            a = GaussianSummary(means[r], covs[r])
+            assert got == w2_gaussian(a, b) == one_pair_w2(a, b)
+
+    @settings(max_examples=50, deadline=None)
+    @given(psd_stacks(), st.data())
+    def test_one_non_psd_entry_fails_the_stack(self, case, data):
+        means, covs, b = case
+        r = data.draw(st.integers(0, len(covs) - 1))
+        covs[r] -= np.eye(covs.shape[-1]) * (1.0 + np.trace(covs[r]))
+        with pytest.raises(ValueError, match="covariance is not positive semi-definite"):
+            w2_gaussian_stack(means, covs, b)
+
+    def test_a_non_finite_covariance_has_no_distance(self):
+        b = GaussianSummary([0.0, 0.0], np.eye(2))
+        covs = np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]], [[1.7e308, 0.0], [0.0, 1.0]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = w2_gaussian_stack(np.zeros((3, 2)), covs, b)
+        # symmetrized as GaussianSummary does, 1.7e308 + 1.7e308 overflows too
+        assert got[0] == 0.0 and np.isnan(got[1:]).all()
 
 
 class TestEmpiricalMoments:
