@@ -30,14 +30,22 @@ def _parse_params(pairs):
         if "=" not in pair:
             raise harness.ConfigError(f"parameter '{pair}' is not key=value")
         key, val = pair.split("=", 1)
-        params[key] = float(val)
+        try:
+            params[key] = float(val)
+        except ValueError:  # kept as text, which build_potential rejects with its path
+            params[key] = val
     return params
 
 
 def _cmd_sample(args) -> int:
     model = harness.build_potential(args.potential, _parse_params(args.param))
-    if args.steps < 0:  # simulate_chain's rule, checked before any output
-        raise harness.ConfigError("steps must be a non-negative integer")
+    # the rules of simulate_chain and RandomSource, checked before any output
+    for flag in ("steps", "seed", "chain_index"):
+        if getattr(args, flag) < 0:
+            raise harness.ConfigError(f"{flag.replace('_', '-')} must be a non-negative integer")
+    for flag in ("q0", "p0"):
+        if not math.isfinite(getattr(args, flag)):
+            raise harness.ConfigError(f"{flag} must be a finite number")
     config = SamplerConfig(kind=args.kind, step=args.step, gamma=args.gamma, alpha=args.alpha)
     rng = RandomSource(args.seed, args.chain_index)
     q = np.full(model.dim, args.q0)
@@ -92,43 +100,45 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_theory(args) -> int:
     consts = analysis.theory_constants(args.L, args.m, args.alpha, args.gamma)
-    print(f"L'        = {consts.l_prime:.6g}")
-    print(f"sigma_max = {consts.sigma_max:.6g}")
-    print(f"sigma_min = {consts.sigma_min:.6g}")
-    print(f"kappa'    = {consts.kappa_prime:.6g}")
-    print(f"lambda'   = {consts.lambda_prime:.6g}"
-          + ("" if consts.contraction_available else "  (no contraction: gamma^2 <= L)"))
+    lines = [
+        f"L'        = {consts.l_prime:.6g}",
+        f"sigma_max = {consts.sigma_max:.6g}",
+        f"sigma_min = {consts.sigma_min:.6g}",
+        f"kappa'    = {consts.kappa_prime:.6g}",
+        f"lambda'   = {consts.lambda_prime:.6g}"
+        + ("" if consts.contraction_available else "  (no contraction: gamma^2 <= L)"),
+    ]
     if args.m > 0:
         bound = analysis.rate_bound_w2(args.alpha, args.gamma, args.m, args.L)
-        print(f"W2 rate   = {bound.rate:.6g} (prefactor {bound.prefactor:.6g}, "
-              f"assumptions gamma_ok={bound.gamma_ok} alpha_ok={bound.alpha_ok})")
+        lines.append(f"W2 rate   = {bound.rate:.6g} (prefactor {bound.prefactor:.6g}, "
+                     f"assumptions gamma_ok={bound.gamma_ok} alpha_ok={bound.alpha_ok})")
     if args.poincare is not None:
         if args.alpha > 0:
             chi2 = analysis.rate_bound_chi2_poincare(args.alpha, args.gamma, args.poincare)
-            print(f"chi2 rate (Poincare) = {chi2:.6g}")
+            lines.append(f"chi2 rate (Poincare) = {chi2:.6g}")
         convex = analysis.rate_bound_chi2_convex(args.alpha, args.gamma, args.poincare, args.L)
-        print(f"chi2 rate (convex)   = {convex.rate:.6g} "
-              f"(gamma_ok={convex.gamma_ok} alpha_ok={convex.alpha_ok})")
+        lines.append(f"chi2 rate (convex)   = {convex.rate:.6g} "
+                     f"(gamma_ok={convex.gamma_ok} alpha_ok={convex.alpha_ok})")
+    print("\n".join(lines))  # every line is computed first: an error prints none
     return 0
 
 
 def _cmd_spectral(args) -> int:
-    print("# forward-Euler mean process, 1D unit quadratic")
-    print("alpha gamma h_opt radius")
+    lines = ["# forward-Euler mean process, 1D unit quadratic", "alpha gamma h_opt radius"]
     for alpha, gamma in ((0.0, args.gamma), (args.gamma + 2.0, args.gamma)):
         h_opt = (alpha + gamma) / (2.0 * (1.0 + alpha * gamma))
         T = np.array([[1 - alpha * h_opt, h_opt], [-h_opt, 1 - gamma * h_opt]])
-        print(f"{alpha:g} {gamma:g} {h_opt:.6g} {analysis.spectral_radius(T):.6g}")
-    print()
-    print("# two-scale quadratic: baseline optimum vs accelerated construction (c=1)")
-    print("eps uld_h uld_gamma uld_discount hfhr_h hfhr_gamma hfhr_alpha hfhr_discount")
+        lines.append(f"{alpha:g} {gamma:g} {h_opt:.6g} {analysis.spectral_radius(T):.6g}")
+    lines += ["", "# two-scale quadratic: baseline optimum vs accelerated construction (c=1)",
+              "eps uld_h uld_gamma uld_discount hfhr_h hfhr_gamma hfhr_alpha hfhr_discount"]
     for eps in args.eps:
         uld = analysis.uld_optimal_discount(eps)
         acc = analysis.hfhr_demo2_parameters(eps, args.c)
-        print(
+        lines.append(
             f"{eps:g} {uld.step:.6g} {uld.gamma:.6g} {uld.discount:.6g} "
             f"{acc.step:.6g} {acc.gamma:.6g} {acc.alpha:.6g} {acc.discount:.6g}"
         )
+    print("\n".join(lines))  # every line is computed first: an error prints none
     return 0
 
 

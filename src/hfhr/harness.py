@@ -7,8 +7,9 @@ worker count.
 
 Consecutive equal-size blocks of a config step as one stacked state, each
 block still on its own stream (``_run_group``); these groups are the thread
-pool's tasks.  A config's records are merged and scored as stacked arrays
-(``_moment_values``).
+pool's tasks.  A group stops at its first non-finite row, since a config's
+output ends at its first divergence.  A config's records are merged and
+scored as stacked arrays (``_moment_values``).
 """
 
 from __future__ import annotations
@@ -359,13 +360,6 @@ def _init_blocks(spec: ExperimentSpec, dim: int, n: int, sources: list) -> Chain
     return ChainState(q=q, p=p)
 
 
-@dataclass
-class _BlockResult:
-    sums: list  # per record step, in order: (n, sum_q, sum_qq) or samples
-    grad_evals: int
-    diverged_at: Optional[int]
-
-
 # a group stacks equal-size blocks up to about one d = 100 block of
 # coordinates: every d = 1 block of a config fits, a d = 100 block stands
 # alone.  The record merge stacks records up to as many covariance entries
@@ -411,64 +405,39 @@ def _run_group(
     streams: list,
     n: int,
     keep_samples: bool,
-) -> list:
-    """Step equal-size blocks as one (B * n, d) state; one _BlockResult each.
+) -> tuple:
+    """Step equal-size blocks as one (B * n, d) state: (records, diverged_at).
 
-    Block b draws only from ``RandomSource(spec.seed, streams[b])``.  A block
-    with a non-finite row at step k stops there, charged n * k gradient
-    rows; the other blocks carry on from step k, so each result equals the
-    block's own run.  Step k is recorded when it is in ``record_steps`` (a
-    range tests that by arithmetic) or is the last step.
+    Block b draws only from ``RandomSource(spec.seed, streams[b])``, so its
+    rows hold the numbers of the block run alone.  Step k is recorded when it
+    is in ``record_steps`` (a range tests that by arithmetic) or is the last
+    step; a record is the blocks' stacked ``(sum_q (B, d), sum_qq (B, d, d))``,
+    or the group's samples.  The group stops at its first non-finite row,
+    ``diverged_at``: a config's output ends before its first divergence, so
+    no later step could reach it.
     """
     sources = [RandomSource(spec.seed, stream) for stream in streams]
     try:
         state = _init_blocks(spec, model.dim, n, sources)
     except (MemoryError, ValueError) as exc:  # numpy cannot allocate, or even ask for, the state
         raise ConfigError(f"chains and potential.params.d are too large for a block of {n} chains: {exc}") from exc
-    results = [_BlockResult(sums=[], grad_evals=n * steps, diverged_at=None) for _ in streams]
-    live = list(range(len(streams)))  # the block of each n-row slice of the state
 
-    def due(k):
-        return k in record_steps or k == steps
-
-    def snapshot(state):
+    def snapshot(q):
         if keep_samples:
-            for i, b in enumerate(live):
-                results[b].sums.append(state.q[i * n:(i + 1) * n].copy())
-            return
-        # every live block's moments at once: the same sums and syrk products
+            return q.copy()
+        # every block's moments at once: the same sums and syrk products
         # as each block's (n, d) rows would give alone
-        qs = state.q.reshape(len(live), n, -1)
-        sum_q = qs.sum(axis=1)
-        sum_qq = np.matmul(qs.transpose(0, 2, 1), qs)
-        for i, b in enumerate(live):
-            results[b].sums.append((n, sum_q[i], sum_qq[i]))
+        qs = q.reshape(len(sources), n, -1)
+        return qs.sum(axis=1), np.matmul(qs.transpose(0, 2, 1), qs)
 
-    snapshot(state)  # step 0 is always a record step
-    stepper = make_stepper(model, config)
-    done = 0
-    # snapshots at a divergence step run outside iterate_chain's errstate
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live and done < steps:
-            draws = _StackedDraws([sources[b] for b in live], n)
-            try:
-                for j, state in iterate_chain(state, stepper, steps - done, draws):
-                    if due(done + j):
-                        snapshot(state)
-                done = steps
-            except DivergenceError as exc:
-                done += exc.step
-                q, p = exc.state.q, exc.state.p
-                finite = (np.isfinite(q) & np.isfinite(p)).all(axis=1).reshape(len(live), n).all(axis=1)
-                for i in np.flatnonzero(~finite):
-                    results[live[i]].grad_evals = n * done
-                    results[live[i]].diverged_at = done
-                rows = np.repeat(finite, n)
-                live = [b for b, ok in zip(live, finite) if ok]
-                state = ChainState(q=q[rows], p=p[rows])
-                if live and due(done):
-                    snapshot(state)
-    return results
+    records = [snapshot(state.q)]  # step 0 is always a record step
+    try:
+        for k, state in iterate_chain(state, make_stepper(model, config), steps, _StackedDraws(sources, n)):
+            if k in record_steps or k == steps:
+                records.append(snapshot(state.q))
+    except DivergenceError as exc:
+        return records, exc.step
+    return records, None
 
 
 def _target_density_1d(model: PotentialModel) -> Callable:
@@ -579,23 +548,27 @@ def _chi2_value(spec, reference, x) -> float:
         return math.inf
 
 
-def _moment_values(spec, reference, blocks, records, dim):
-    """(values, stderrs) of the first ``records`` records from the blocks' sums.
+def _moment_values(spec, reference, groups, records, dim):
+    """(values, stderrs) of the first ``records`` records of the groups' sums.
 
     Records go in chunks of at most _STACK_COORDS covariance entries.  In a
-    chunk, the blocks' sums are stacked over the records and added in block
-    order, then every record's mean, covariance and metric is taken at once.
+    chunk, each group's sums are stacked over the records and its blocks
+    added one by one, in block order; then every record's mean, covariance
+    and metric is taken at once.
     """
-    n_total = sum(b.sums[0][0] for b in blocks)
+    n_total = spec.chains
     chunk = max(1, _STACK_COORDS // (dim * dim))
     values, stderrs = [], []
     for lo in range(0, records, chunk):
         hi = min(lo + chunk, records)
         sum_q = np.zeros((hi - lo, dim))
         sum_qq = np.zeros((hi - lo, dim, dim))
-        for b in blocks:
-            sum_q = sum_q + np.array([sums[1] for sums in b.sums[lo:hi]])
-            sum_qq = sum_qq + np.array([sums[2] for sums in b.sums[lo:hi]])
+        for group in groups:
+            group_q = np.array([q for q, _ in group[lo:hi]])  # (records, B, d)
+            group_qq = np.array([qq for _, qq in group[lo:hi]])
+            for b in range(group_q.shape[1]):
+                sum_q = sum_q + group_q[:, b]
+                sum_qq = sum_qq + group_qq[:, b]
         mean = sum_q / n_total
         cov = sum_qq / (n_total - 1) - mean[:, :, None] * mean[:, None, :] * (n_total / (n_total - 1))
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
@@ -659,29 +632,29 @@ def run_experiment(
         groups = _groups(sizes, model.dim)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                blocks = [r for results in pool.map(task, groups) for r in results]
+                group_records, stops = zip(*pool.map(task, groups))
         else:
-            blocks = [r for group in groups for r in task(group)]
-
-        grad_evals[config_id] = sum(b.grad_evals for b in blocks)
-        bad_steps = [b.diverged_at for b in blocks if b.diverged_at is not None]
-        first_bad = min(bad_steps) if bad_steps else None
+            group_records, stops = zip(*map(task, groups))
+        # a group is charged its rows times the steps it ran
+        grad_evals[config_id] = sum(
+            sizes[group[0]] * len(group) * (steps if stop is None else stop) for group, stop in zip(groups, stops)
+        )
+        first_bad = min((stop for stop in stops if stop is not None), default=None)
         diverged[config_id] = first_bad
 
-        # every block records a prefix of the record steps; merge, in block
-        # order, the records present in every block. Snapshots just before a
-        # blow-up can overflow the metric; the row is flagged, so an inf
-        # value is fine
-        records = min(len(b.sums) for b in blocks)
+        # merge, in block order, the records that every group holds: those
+        # before the first divergence. Snapshots just before a blow-up can
+        # overflow the metric; the row is flagged, so an inf value is fine
+        records = min(len(r) for r in group_records)
         with np.errstate(over="ignore", invalid="ignore"):
             if keep_samples:
                 values = [
-                    _chi2_value(spec, reference, np.concatenate([b.sums[i] for b in blocks]).ravel())
+                    _chi2_value(spec, reference, np.concatenate([r[i] for r in group_records]).ravel())
                     for i in range(records)
                 ]
                 stderrs = [None] * records
             else:
-                values, stderrs = _moment_values(spec, reference, blocks, records, model.dim)
+                values, stderrs = _moment_values(spec, reference, group_records, records, model.dim)
         for i, (value, stderr) in enumerate(zip(values, stderrs)):
             k = min(i * spec.record_every, steps)
             flag = "diverged" if (first_bad is not None and i == records - 1) else ""

@@ -36,12 +36,11 @@ from .rng import RandomSource
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a chain leaves the finite floats; ``state`` is that step's state."""
+    """Raised when a chain leaves the finite floats at step ``step``."""
 
-    def __init__(self, step: int, state: Optional[ChainState] = None):
+    def __init__(self, step: int):
         super().__init__(f"non-finite state at step {step}")
         self.step = step
-        self.state = state
 
 
 @dataclass(frozen=True)
@@ -270,16 +269,16 @@ em_hfhr_step = _single_step(_hfhr_em)
 def iterate_chain(state: ChainState, stepper, steps: int, rng) -> Iterator[tuple[int, ChainState]]:
     """Apply ``stepper`` ``steps`` times, yielding (index, state) after each.
 
-    Any non-finite coordinate raises a DivergenceError naming the step and
-    carrying its state; stability-limit experiments probe blow-up on
-    purpose.  Blow-up is detected here, so numpy's overflow warnings are
-    silenced while the loop (the caller's body included) runs.
+    Any non-finite coordinate raises a DivergenceError naming the step;
+    stability-limit experiments probe blow-up on purpose.  Blow-up is
+    detected here, so numpy's overflow warnings are silenced while the loop
+    (the caller's body included) runs.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             state = stepper(state, rng)
             if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
-                raise DivergenceError(k, state)
+                raise DivergenceError(k)
             yield k, state
 
 

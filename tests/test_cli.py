@@ -65,6 +65,24 @@ class TestSample:
         assert (code, out) == (2, "")
         assert "error: steps must be a non-negative integer" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--param", "d=abc"], "potential.params.d must be a number"),
+            (["--seed", "-3"], "seed must be a non-negative integer"),
+            (["--chain-index", "-1"], "chain-index must be a non-negative integer"),
+            (["--q0", "inf"], "q0 must be a finite number"),
+            (["--q0", "nan"], "q0 must be a finite number"),
+            (["--p0=-inf"], "p0 must be a finite number"),
+        ],
+    )
+    def test_flags_fail_before_any_output_naming_the_flag(self, capsys, flags, message):
+        code, out, err = run_cli(
+            capsys, "sample", "--potential", "quadratic_iso", "--step", "0.1", "--steps", "3", *flags
+        )
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
+
 
 class TestTheory:
     def test_prints_constants(self, capsys):
@@ -77,6 +95,14 @@ class TestTheory:
         assert "W2 rate   = 1.5" in out
         assert "chi2 rate (Poincare) = 2" in out
 
+    def test_an_error_prints_no_line(self, capsys):
+        # every line but the chi-squared bounds is valid here
+        code, out, err = run_cli(
+            capsys, "theory", "--L", "1", "--m", "1", "--alpha", "1", "--gamma", "2", "--poincare", "-1",
+        )
+        assert (code, out) == (2, "")
+        assert "error: alpha, gamma and lambda_pi must be > 0" in err
+
 
 class TestSpectral:
     def test_tables(self, capsys):
@@ -88,6 +114,12 @@ class TestSpectral:
             cols = line.split()
             if cols and cols[0] in ("0.1", "0.2"):
                 assert float(cols[7]) < float(cols[3])
+
+    def test_an_error_prints_no_line(self, capsys):
+        # the first table is valid; eps = 1.5 fails in the second
+        code, out, err = run_cli(capsys, "spectral", "--eps", "1.5")
+        assert (code, out) == (2, "")
+        assert "error: eps must lie in (0, 1)" in err
 
 
 class TestExperiment:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -499,7 +500,7 @@ class TestRunExperiment:
 
 
 def serial_block(spec, model, config, steps, record_steps, stream, n, keep_samples):
-    """One block run alone on its own stream: (snapshots, grad_evals, diverged_at)."""
+    """One block run alone on its own stream: (snapshots, diverged_at)."""
     rng = RandomSource(spec.seed, stream)
     q = np.broadcast_to(np.asarray(spec.init.q, dtype=float), (n, model.dim)).copy()
     p = np.broadcast_to(np.asarray(spec.init.p, dtype=float), (n, model.dim)).copy()
@@ -509,7 +510,7 @@ def serial_block(spec, model, config, steps, record_steps, stream, n, keep_sampl
         p += spec.init.p_std * rng.normals((n, model.dim))
 
     def snapshot(q):
-        return q.copy() if keep_samples else (n, q.sum(axis=0), q.T @ q)
+        return q.copy() if keep_samples else (q.sum(axis=0), q.T @ q)
 
     state = ChainState(q=q, p=p)
     sums = [snapshot(state.q)]
@@ -518,50 +519,112 @@ def serial_block(spec, model, config, steps, record_steps, stream, n, keep_sampl
             if k in record_steps:
                 sums.append(snapshot(state.q))
     except DivergenceError as exc:
-        return sums, n * exc.step, exc.step
-    return sums, n * steps, None
+        return sums, exc.step
+    return sums, None
 
 
-def assert_same_block(result, reference):
-    """A stacked block's _BlockResult holds the bytes of the block run alone."""
-    sums, grad_evals, diverged_at = reference
-    assert (result.grad_evals, result.diverged_at) == (grad_evals, diverged_at)
-    assert len(result.sums) == len(sums)
-    for got, want in zip(result.sums, sums):
-        got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+def assert_same_block(records, j, n, sums):
+    """Block j's slice of a group's records holds the bytes of its run alone.
+
+    The slice is ``(sum_q[j], sum_qq[j])`` of a moment record, or rows
+    ``j * n:(j + 1) * n`` of a samples record; the run alone may hold more
+    records than the group.
+    """
+    assert len(records) <= len(sums)
+    for got, want in zip(records, sums):
+        got, want = ((got[0][j], got[1][j]), want) if isinstance(want, tuple) else ((got[j * n:(j + 1) * n],), (want,))
         assert [np.shape(g) for g in got] == [np.shape(w) for w in want]
         assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
 
 
+def assert_same_group(spec, model, config, steps, record_steps, streams, n, result):
+    """A group's (records, diverged_at) against its blocks run alone.
+
+    The group stops at its blocks' first divergence, so it holds the records
+    that every block holds alone.
+    """
+    records, diverged_at = result
+    alone = [serial_block(spec, model, config, steps, record_steps, stream, n, spec.metric == "chi2_hist")
+             for stream in streams]
+    assert diverged_at == min((bad for _, bad in alone if bad is not None), default=None)
+    assert len(records) == min(len(sums) for sums, _ in alone)
+    for j, (sums, _) in enumerate(alone):
+        assert_same_block(records, j, n, sums)
+
+
 @pytest.fixture
 def recorded_groups(monkeypatch):
-    """Each group run_experiment steps: (config, n, streams, results), in call order."""
+    """Each group run_experiment steps: (config, n, streams, result), in call order."""
     groups = []
     original = harness._run_group
 
     def recording(spec, model, config, steps, record_steps, streams, n, keep_samples):
-        results = original(spec, model, config, steps, record_steps, streams, n, keep_samples)
-        groups.append((config, n, list(streams), results))
-        return results
+        result = original(spec, model, config, steps, record_steps, streams, n, keep_samples)
+        groups.append((config, n, list(streams), result))
+        return result
 
     monkeypatch.setattr(harness, "_run_group", recording)
     return groups
 
 
 def check_against_serial(spec, groups):
-    """Every recorded block against its serial run; returns each config's groups of streams."""
+    """Every recorded group against its blocks run alone; returns each config's groups of streams."""
     model = spec.model()
     stacks = {}
-    for config, n, streams, results in groups:
+    for config, n, streams, result in groups:
         steps = spec.steps_for(config)
-        record_steps = sorted(set(range(0, steps + 1, spec.record_every)) | {steps})
-        for stream, result in zip(streams, results):
-            reference = serial_block(
-                spec, model, config, steps, set(record_steps), stream, n, spec.metric == "chi2_hist"
-            )
-            assert_same_block(result, reference)
+        record_steps = set(range(0, steps + 1, spec.record_every)) | {steps}
+        assert_same_group(spec, model, config, steps, record_steps, streams, n, result)
         stacks.setdefault(config, []).append(streams)
     return {config: sorted(streams) for config, streams in stacks.items()}
+
+
+def counting_grad(monkeypatch, counted, fault=None):
+    """Make run_experiment's potentials count gradient calls and rows in ``counted``.
+
+    ``fault(calls, g)`` may then write into the gradient ``g`` of that call.
+    """
+    original = harness.builtin_potential
+
+    def counted_potential(*args, **kwargs):
+        model = original(*args, **kwargs)
+
+        def grad(q):
+            counted["calls"] += 1
+            counted["rows"] += np.shape(q)[0]
+            g = model.grad(q)
+            if fault is not None:
+                fault(counted["calls"], g)
+            return g
+
+        return dataclasses.replace(model, grad=grad)
+
+    monkeypatch.setattr(harness, "builtin_potential", counted_potential)
+
+
+def quartic_blowup_spec(monkeypatch):
+    """Four blocks of ten in one group: ula at h = 0.5 on the quartic throws
+    out chains that wander past |q| ~ 2; run alone, the blocks diverge at
+    steps 7, 10, 11 and 9."""
+    monkeypatch.setattr(harness, "BLOCK_SIZE", 10)
+    doc = minimal_doc(
+        potential={"name": "quartic", "params": {}},
+        sampler=[{"id": "c", "kind": "ula", "step": 0.5}],
+        chains=40,
+        steps=30,
+        record_every=1,
+        seed=5,
+        metric="mean_error",
+        init={"q": 0.0, "q_std": 1.0},
+    )
+    del doc["horizon"]
+    return parse_config(json.dumps(doc))
+
+
+def csv_sha256(series, tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(series, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # name -> params, every builtin potential at a small size
@@ -617,10 +680,9 @@ class TestStackedBlocks:
         streams = [3, 4, 5, 6, 7]
         for kind in KINDS:
             config = SamplerConfig(kind=kind, step=0.02, gamma=2.0, alpha=0.5)
-            results = harness._run_group(spec, model, config, 12, [0, 3, 6, 9, 12], streams, 30, False)
-            for stream, result in zip(streams, results):
-                assert result.diverged_at is None
-                assert_same_block(result, serial_block(spec, model, config, 12, {3, 6, 9, 12}, stream, 30, False))
+            result = harness._run_group(spec, model, config, 12, [0, 3, 6, 9, 12], streams, 30, False)
+            assert result[1] is None
+            assert_same_group(spec, model, config, 12, {3, 6, 9, 12}, streams, 30, result)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("metric", ["w2_gaussian", "chi2_hist"])
@@ -636,88 +698,93 @@ class TestStackedBlocks:
             [[1_000_000, 1_000_001], [1_000_002]],
         ]
 
-    @pytest.mark.parametrize("metric", ["w2_gaussian", "mean_error"])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_record_chunks_do_not_change_the_rows(self, monkeypatch, metric, d):
-        # _STACK_COORDS also bounds the merge's record chunks: at 1 each
-        # record is a chunk of its own, at 7 the 26 records of d = 1 split
-        # 7, 7, 7, 5 and those of d = 2 go one by one
-        doc = minimal_doc(
-            potential={"name": "quadratic_aniso", "params": {"m": 1.0, "kappa": 4.0, "d": d}},
-            chains=2500,
-            steps=25,
-            record_every=1,
-            metric=metric,
-            init={"q": 1.0, "q_std": 0.5},
-        )
-        del doc["horizon"]
-        doc["sampler"].append({"id": "ula", "kind": "ula", "step": 0.2})
-        spec = parse_config(json.dumps(doc))
+    @pytest.mark.parametrize("case", ["1-mean_error", "1-w2_gaussian", "2-mean_error", "2-w2_gaussian", "quartic-blowup"])
+    def test_record_chunks_do_not_change_the_rows(self, monkeypatch, case):
+        # _STACK_COORDS bounds the groups and the merge's record chunks: at 1
+        # and 7 every block is a group of its own; at 1 each record is a chunk
+        # of its own, at 7 the 26 records of d = 1 split 7, 7, 7, 5 and those
+        # of d = 2 go one by one. A group stops at its first divergence, so a
+        # diverging config's gradient count follows the groups; its rows and
+        # divergence step do not
+        if case == "quartic-blowup":
+            spec = quartic_blowup_spec(monkeypatch)
+        else:
+            d, metric = case.split("-")
+            doc = minimal_doc(
+                potential={"name": "quadratic_aniso", "params": {"m": 1.0, "kappa": 4.0, "d": int(d)}},
+                chains=2500,
+                steps=25,
+                record_every=1,
+                metric=metric,
+                init={"q": 1.0, "q_std": 0.5},
+            )
+            del doc["horizon"]
+            doc["sampler"].append({"id": "ula", "kind": "ula", "step": 0.2})
+            spec = parse_config(json.dumps(doc))
+        counted = {"calls": 0, "rows": 0}
+        counting_grad(monkeypatch, counted)
 
-        def rows():
-            return [(r.config_id, r.step, repr(r.value), repr(r.stderr), r.flag) for r in run_experiment(spec).rows]
+        def run():
+            counted["rows"] = 0
+            series = run_experiment(spec)
+            assert sum(series.grad_evals.values()) == counted["rows"]
+            rows = [(r.config_id, r.step, repr(r.value), repr(r.stderr), r.flag) for r in series.rows]
+            return rows, series.diverged, series.grad_evals
 
-        expected = rows()
-        assert len(expected) == 52
+        expected = run()
+        assert len(expected[0]) == (7 if case == "quartic-blowup" else 52)
         for coords in (1, 7):
             monkeypatch.setattr(harness, "_STACK_COORDS", coords)
-            assert rows() == expected
+            rows, diverged, grad_evals = run()
+            assert (rows, diverged) == expected[:2]
+            if case == "quartic-blowup":  # one group of four, then four groups stopped at 7, 10, 11 and 9
+                assert (expected[2], grad_evals) == ({"c": 40 * 7}, {"c": 10 * (7 + 10 + 11 + 9)})
+            else:
+                assert grad_evals == expected[2]
 
-    def test_blocks_of_one_group_diverge_at_their_own_steps(self, recorded_groups, monkeypatch):
-        # ula at h = 0.5 on the quartic throws out chains that wander past
-        # |q| ~ 2; four blocks of ten leave the stack at steps 7, 10, 11, 9
-        monkeypatch.setattr(harness, "BLOCK_SIZE", 10)
-        doc = minimal_doc(
-            potential={"name": "quartic", "params": {}},
-            sampler=[{"id": "c", "kind": "ula", "step": 0.5}],
-            chains=40,
-            steps=30,
-            record_every=1,
-            seed=5,
-            metric="mean_error",
-            init={"q": 0.0, "q_std": 1.0},
-        )
-        del doc["horizon"]
-        spec = parse_config(json.dumps(doc))
-        series = run_experiment(spec)
-        assert check_against_serial(spec, recorded_groups) == {spec.samplers[0][1]: [[0, 1, 2, 3]]}
-        (_, _, _, results), = recorded_groups
-        assert [r.diverged_at for r in results] == [7, 10, 11, 9]
-        assert series.diverged["c"] == 7
-        assert series.grad_evals["c"] == 10 * (7 + 10 + 11 + 9)
-
-    def test_gradient_count_of_a_group_with_two_divergent_blocks(self, recorded_groups, monkeypatch):
-        # two blocks of 1000 at d = 1 stack; the gradient returns inf on the
-        # second block's rows from step 3 and on the first block's from step 6
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_group_stops_at_its_first_divergence(self, recorded_groups, monkeypatch, tmp_path, workers):
+        # the quartic's four blocks of ten form one group; run alone they
+        # diverge at steps 7, 10, 11 and 9, so the group stops at step 7
+        spec = quartic_blowup_spec(monkeypatch)
         counted = {"calls": 0, "rows": 0}
-        original = harness.builtin_potential
+        counting_grad(monkeypatch, counted)
+        series = run_experiment(spec, workers=workers)
+        assert series.grad_evals["c"] == counted["rows"] == 40 * 7
+        assert check_against_serial(spec, recorded_groups) == {spec.samplers[0][1]: [[0, 1, 2, 3]]}
+        (config, n, streams, (records, diverged_at)), = recorded_groups
+        alone = [serial_block(spec, spec.model(), config, 30, set(range(31)), stream, n, False) for stream in streams]
+        assert [bad for _, bad in alone] == [7, 10, 11, 9]
+        assert (diverged_at, len(records)) == (7, 7)
+        assert series.diverged["c"] == 7
+        assert [(r.step, r.flag) for r in series.rows] == [(k, "") for k in range(6)] + [(6, "diverged")]
+        # the rows as they were when every block stepped on to its own divergence
+        assert csv_sha256(series, tmp_path) == "e0d2ba6ddd32fcaaececc7559d65525f352dd166e4eea75c43d84d7cffbd638e"
 
-        def faulty(*args, **kwargs):
-            model = original(*args, **kwargs)
+    def test_gradient_count_of_a_group_that_stops_at_its_first_divergence(self, recorded_groups, monkeypatch, tmp_path):
+        # two blocks of 1000 at d = 1 stack; the gradient returns inf on the
+        # second block's rows from step 3 and on the first block's from step 6,
+        # a step the group never takes
+        def fault(calls, g):
+            if calls >= 3:
+                g[1000:] = np.inf
+            if calls >= 6:
+                g[:1000] = np.inf
 
-            def grad(q):
-                counted["calls"] += 1
-                counted["rows"] += np.shape(q)[0]
-                g = model.grad(q)
-                if counted["calls"] >= 3 and np.shape(q)[0] == 2000:
-                    g[1000:] = np.inf
-                if counted["calls"] >= 6:
-                    g[:1000] = np.inf
-                return g
-
-            return dataclasses.replace(model, grad=grad)
-
-        monkeypatch.setattr(harness, "builtin_potential", faulty)
+        counted = {"calls": 0, "rows": 0}
+        counting_grad(monkeypatch, counted, fault)
         doc = minimal_doc(chains=2000, steps=10, record_every=1)
         del doc["horizon"]
         doc["sampler"] = [{"id": "c", "kind": "ula", "step": 0.1}]
         series = run_experiment(parse_config(json.dumps(doc)))
-        (_, _, streams, results), = recorded_groups
-        assert streams == [0, 1]
-        assert [(r.diverged_at, r.grad_evals, len(r.sums)) for r in results] == [(6, 6000, 6), (3, 3000, 3)]
+        (_, _, streams, (records, diverged_at)), = recorded_groups
+        assert (streams, diverged_at, len(records)) == ([0, 1], 3, 3)
         assert series.diverged["c"] == 3
-        assert series.grad_evals["c"] == counted["rows"] == 2000 * 3 + 1000 * 3
+        assert series.grad_evals["c"] == counted["rows"] == 2000 * 3
+        assert counted["calls"] == 3
         assert [(r.step, r.flag) for r in series.rows] == [(0, ""), (1, ""), (2, "diverged")]
+        # the rows as they were when the first block stepped on to step 6
+        assert csv_sha256(series, tmp_path) == "9f3305eed343b7f6c448c0a06e1802822fd8f9df961df62e22c9429c18fb6307"
 
 
 def serial_pair_hit(model, config, seed, chains, limit, eps, init_q):
