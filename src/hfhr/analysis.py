@@ -211,19 +211,12 @@ def optimal_alpha(b1: float, b2: float, gamma: float) -> float:
 
     The strong-convexity scale m cancels from the argmin.  Stationarity
     reduces to the cubic b1 a^3 + (3 b1 / gamma) a^2 - 2 b2 = 0, which has
-    exactly one positive root.
+    exactly one positive root; the other two sum to -3/gamma minus it, so it
+    is the largest real part of the three.
     """
     if b1 <= 0 or b2 <= 0 or gamma <= 0:
         raise ValueError("b1, b2 and gamma must be > 0")
-    from scipy.optimize import brentq  # on demand: importing scipy.optimize costs ~20 MB
-
-    def cubic(a):
-        return b1 * a**3 + 3.0 * b1 * a * a / gamma - 2.0 * b2
-
-    hi = 1.0
-    while cubic(hi) < 0:
-        hi *= 2.0
-    return brentq(cubic, 0.0, hi, xtol=1e-14)
+    return float(np.roots([b1, 3.0 * b1 / gamma, 0.0, -2.0 * b2]).real.max())
 
 
 def step_thresholds(L: float, m: float, G: float, alpha: float, gamma: float) -> dict:
@@ -245,14 +238,24 @@ def step_thresholds(L: float, m: float, G: float, alpha: float, gamma: float) ->
 
 
 def _phi_drift_blocks(gamma: float, t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    from .samplers import phi_covariance
+    """T and Q of the exact OU flow dq = p dt, dp = -gamma p dt + sqrt(2 gamma) dW.
 
+    Per coordinate, with x = gamma t: drift (1 - e^{-x})/gamma, decay e^{-x},
+    and Q = int_0^t e^{As} diag(0, 2 gamma) e^{A^T s} ds has v_pp = 1 - e^{-2x},
+    v_qp = (1 - e^{-x})^2/gamma, v_qq = (2x + 4e^{-x} - e^{-2x} - 3)/gamma^2.
+    Written out here, not taken from the samplers, so the two check each other.
+    """
+    if gamma <= 0 or t <= 0:
+        raise ValueError("gamma and t must be > 0")
+    x = gamma * t
+    if x >= 700.0:
+        raise ValueError("gamma * t too large for stable exponentials")
+    u, w = math.expm1(-x), math.expm1(-2.0 * x)  # e^{-x} - 1 and e^{-2x} - 1, no cancellation
+    series = (x**3) * (2.0 / 3.0 - 0.5 * x + (7.0 / 30.0) * x * x)  # closed form cancels to O(x^3)
+    v_qq = (series if x < 1e-4 else 2.0 * x + 4.0 * u - w) / gamma**2
     eye = np.eye(n)
-    decay = math.exp(-gamma * t)
-    drift = -math.expm1(-gamma * t) / gamma
-    T = np.block([[eye, drift * eye], [np.zeros((n, n)), decay * eye]])
-    cov = phi_covariance(gamma, t)
-    Q = np.block([[cov[0, 0] * eye, cov[0, 1] * eye], [cov[0, 1] * eye, cov[1, 1] * eye]])
+    T = np.block([[eye, -u / gamma * eye], [np.zeros((n, n)), math.exp(-x) * eye]])
+    Q = np.block([[v_qq * eye, u * u / gamma * eye], [u * u / gamma * eye, -w * eye]])
     return T, Q
 
 
@@ -283,8 +286,7 @@ def step_affine_map(
         c1 = -math.expm1(-gamma * h) / gamma
         c2 = (h - c1) / gamma
         T = np.block([[eye - c2 * H, c1 * eye], [-c1 * H, decay * eye]])
-        _, Q = _phi_drift_blocks(gamma, h, n)
-        return AffineGaussianMap(T=T, c=np.zeros(2 * n), Q=Q)
+        return AffineGaussianMap(T=T, c=np.zeros(2 * n), Q=_phi_drift_blocks(gamma, h, n)[1])
     if kind == "hfhr_strang":
         Tphi, Qphi = _phi_drift_blocks(gamma, 0.5 * h, n)
         Tpsi = np.block([[eye - alpha * h * H, zeros], [-h * H, eye]])
@@ -386,17 +388,6 @@ def hfhr_demo2_parameters(eps: float, c: float) -> AcceleratedDiscount:
     return AcceleratedDiscount(gamma=gamma, alpha=alpha, step=h, discount=discount)
 
 
-def _drift_diffusion(H: np.ndarray, alpha: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    n = H.shape[0]
-    eye = np.eye(n)
-    A = np.block([[-alpha * H, eye], [-H, -gamma * eye]])
-    D = np.block(
-        [[2.0 * alpha * eye, np.zeros((n, n))], [np.zeros((n, n)), 2.0 * gamma * eye]]
-    )
-    return A, D
-
-
 def gaussian_continuous_propagation(
     H: np.ndarray,
     alpha: float,
@@ -407,12 +398,12 @@ def gaussian_continuous_propagation(
 ):
     """Exact law of the continuous dynamics on a quadratic potential.
 
-    The mean follows e^{A t} mean0 and the covariance solves the Lyapunov ODE
-    dS/dt = A S + S A^T + D.  Over a sub-span tau, S <- F S F^T + Q with
-    F = e^{A tau} and Q = int_0^tau e^{A s} D e^{A^T s} ds, both read off one
-    block exponential (Van Loan 1978).  Sub-spans keep ||A||_1 tau <= 1: over
-    a long span the e^{-A tau} block of that exponential grows and cancels.
-    ``t`` may be a scalar or an increasing sequence; a matching
+    With A = [[-alpha H, I], [-H, -gamma I]] and D = diag(2 alpha I, 2 gamma I),
+    the mean is e^{At} mean0 and the covariance solves dS/dt = A S + S A^T + D.
+    The dynamics leave the target times N(0, I) invariant: S_inf =
+    diag(H^{-1}, I) solves A S + S A^T + D = 0 for every alpha and gamma, so
+    S(t) = S_inf + e^{At}(cov0 - S_inf)e^{A^T t}, one matrix exponential per
+    time.  ``t`` may be a scalar or a nondecreasing sequence; a matching
     GaussianSummary (or list thereof) is returned.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -423,27 +414,16 @@ def gaussian_continuous_propagation(
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonnegative and nondecreasing")
-    A, D = _drift_diffusion(H, alpha, gamma)
-    n2 = A.shape[0]
-    mean0 = np.asarray(mean0, dtype=float)
-    cov = np.atleast_2d(np.asarray(cov0, dtype=float)).copy()
-    norm_a = max(1.0, np.linalg.norm(A, 1))
-
+    n = H.shape[0]
+    eye, zeros = np.eye(n), np.zeros((n, n))
+    A = np.block([[-alpha * H, eye], [-H, -gamma * eye]])
+    s_inf = np.block([[np.linalg.inv(H), zeros], [zeros, eye]])
+    cov0 = np.atleast_2d(np.asarray(cov0, dtype=float))
     out = []
-    t_prev = 0.0
     for t_k in times:
-        span = t_k - t_prev
-        if span > 0:
-            nsteps = max(1, int(math.ceil(span * norm_a)))
-            tau = span / nsteps
-            E = expm(np.block([[-A, D], [np.zeros_like(A), A.T]]) * tau)
-            F = E[n2:, n2:].T
-            Q = F @ E[:n2, n2:]
-            for _ in range(nsteps):
-                cov = F @ cov @ F.T + Q
-        mean = expm(A * t_k) @ mean0 if t_k > 0 else mean0.copy()
-        out.append(GaussianSummary(mean=mean, cov=0.5 * (cov + cov.T)))
-        t_prev = t_k
+        E = expm(A * t_k)
+        cov = s_inf + E @ (cov0 - s_inf) @ E.T if t_k > 0 else cov0
+        out.append(GaussianSummary(mean=E @ mean0, cov=0.5 * (cov + cov.T)))
     return out[0] if scalar else out
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,26 +139,32 @@ class TestDiscreteBounds:
         assert k_star == 0.0
 
     def test_optimal_alpha_positive_matches_golden_section(self):
-        b1 = b2 = 1.0
-        gamma = 2.0
+        for b1, b2, gamma in itertools.product((1e-3, 1.0, 1e3), (1e-3, 1.0, 1e3), (0.1, 2.0, 50.0)):
 
-        def objective(a):
-            return (b1 * a**3 + b2) / ((1.0 / gamma + a) ** 2)
+            def objective(a):
+                # in exact rationals: in floats the flat minimum stops golden
+                # section at about sqrt(machine eps) of the argmin
+                a = Fraction(a)
+                return (Fraction(b1) * a**3 + Fraction(b2)) / ((1 / Fraction(gamma) + a) ** 2)
 
-        # golden-section oracle on [0, 10]
-        lo, hi = 0.0, 10.0
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        for _ in range(200):
-            x1 = hi - phi * (hi - lo)
-            x2 = lo + phi * (hi - lo)
-            if objective(x1) < objective(x2):
-                hi = x2
-            else:
-                lo = x1
-        oracle = 0.5 * (lo + hi)
-        got = optimal_alpha(b1, b2, gamma)
-        assert got > 0
-        assert got == pytest.approx(oracle, abs=1e-8)
+            # golden-section oracle on [0, hi]; the stationarity cubic is
+            # positive at (2 b2 / b1)^(1/3), so the minimizer lies below it
+            lo, hi = 0.0, max(10.0, 2.0 * (2.0 * b2 / b1) ** (1.0 / 3.0))
+            phi = (math.sqrt(5.0) - 1.0) / 2.0
+            for _ in range(200):
+                x1 = hi - phi * (hi - lo)
+                x2 = lo + phi * (hi - lo)
+                if objective(x1) < objective(x2):
+                    hi = x2
+                else:
+                    lo = x1
+            oracle = 0.5 * (lo + hi)
+            got = optimal_alpha(b1, b2, gamma)
+            assert got > 0
+            assert got == pytest.approx(oracle, rel=1e-13, abs=1e-8), (b1, b2, gamma)
+            # and the root solves the stationarity cubic to rounding
+            terms = (b1 * got**3, 3.0 * b1 * got * got / gamma, -2.0 * b2)
+            assert abs(sum(terms)) <= 1e-13 * max(abs(v) for v in terms), (b1, b2, gamma)
 
     def test_constant_bound_formula(self):
         assert discretization_constant_bound(1.0, 1.0, 0.0, 1.0, 2.0) == pytest.approx(2.0)
@@ -188,14 +196,17 @@ class TestStepAffineMap:
         # the full-step OU map
         from hfhr.samplers import phi_covariance
 
-        gamma, h = 2.0, 0.4
-        amap = step_affine_map("hfhr_strang", [[0.0]], 0.0, gamma, h)
-        drift = (1.0 - math.exp(-gamma * h)) / gamma
-        np.testing.assert_allclose(
-            amap.T, [[1.0, drift], [0.0, math.exp(-gamma * h)]], atol=1e-14
-        )
-        cov = phi_covariance(gamma, h)
-        np.testing.assert_allclose(amap.Q, cov, atol=1e-14)
+        grid = itertools.product((0.1, 1.0, 2.0, 10.0, 100.0), (1e-6, 1e-4, 1e-2, 0.1, 1.0))
+        for gamma, h in [(2.0, 0.4), *grid]:
+            amap = step_affine_map("hfhr_strang", [[0.0]], 0.0, gamma, h)
+            drift = (1.0 - math.exp(-gamma * h)) / gamma
+            np.testing.assert_allclose(
+                amap.T, [[1.0, drift], [0.0, math.exp(-gamma * h)]], atol=1e-14
+            )
+            cov = phi_covariance(gamma, h)
+            np.testing.assert_allclose(
+                amap.Q, cov, rtol=0, atol=min(1e-14, 1e-13 * np.abs(cov).max()), err_msg=f"{gamma=} {h=}"
+            )
 
     def test_strang_flat_hessian_general_alpha(self):
         # psi contributes pure position noise 2 alpha h, carried through the
@@ -233,6 +244,25 @@ class TestStepAffineMap:
             for j in range(2):
                 se_c = math.sqrt((amap.Q[i, i] * amap.Q[j, j] + amap.Q[i, j] ** 2) / n)
                 assert abs(C[i, j] - amap.Q[i, j]) < 4.0 * se_c
+
+    def test_needs_nothing_from_the_samplers(self, monkeypatch):
+        # the oracle of the kernels shares none of their code: with the
+        # sampler's OU pieces broken, every map comes out the same
+        import hfhr.samplers
+
+        H = np.array([[2.0, 0.3], [0.3, 1.0]])
+        kinds = ("hfhr_strang", "uld_klmc", "ula", "hfhr_em")
+        before = {kind: step_affine_map(kind, H, 0.7, 2.5, 0.1) for kind in kinds}
+
+        def broken(*args, **kwargs):
+            raise AssertionError("step_affine_map called into hfhr.samplers")
+
+        monkeypatch.setattr(hfhr.samplers, "phi_covariance", broken)
+        monkeypatch.setattr(hfhr.samplers, "phi_kernel", broken)
+        for kind in kinds:
+            after = step_affine_map(kind, H, 0.7, 2.5, 0.1)
+            for name in ("T", "c", "Q"):
+                np.testing.assert_array_equal(getattr(after, name), getattr(before[kind], name))
 
     def test_requires_symmetric_hessian(self):
         with pytest.raises(ValueError):
@@ -368,6 +398,33 @@ class TestGaussianPropagation:
         exact = S_inf + E @ (S0 - S_inf) @ E.T
         got = gaussian_continuous_propagation(H, alpha, gamma, np.zeros(2 * n), S0, t)
         np.testing.assert_allclose(got.cov, exact, atol=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    @pytest.mark.parametrize("alpha, gamma", [(0.0, 0.5), (0.7, 2.5), (2.0, 1.0)])
+    def test_matches_short_span_van_loan(self, d, alpha, gamma):
+        # second method: iterate S <- F S F^T + Q over spans tau with
+        # tau ||A||_1 <= 1, F and Q read off one block exponential (Van Loan
+        # 1978), as the benchmark's exact laws do
+        rng = np.random.default_rng([d, int(10 * alpha), int(10 * gamma)])
+        G = rng.standard_normal((d, d))
+        H = G @ G.T / d + 0.5 * np.eye(d)
+        G = rng.standard_normal((2 * d, 2 * d))
+        mean0, cov0 = rng.standard_normal(2 * d), G @ G.T / (2 * d)
+        eye, zero = np.eye(d), np.zeros((d, d))
+        A = np.block([[-alpha * H, eye], [-H, -gamma * eye]])
+        D = np.block([[2.0 * alpha * eye, zero], [zero, 2.0 * gamma * eye]])
+        ts = [0.1, 1.0, 5.0]
+        got = gaussian_continuous_propagation(H, alpha, gamma, mean0, cov0, ts)
+        for t, summary in zip(ts, got):
+            spans = max(1, math.ceil(t * np.linalg.norm(A, 1)))
+            E = expm(np.block([[-A, D], [np.zeros_like(A), A.T]]) * (t / spans))
+            F = E[2 * d:, 2 * d:].T
+            Q = F @ E[:2 * d, 2 * d:]
+            mean, cov = mean0, cov0
+            for _ in range(spans):
+                mean, cov = F @ mean, F @ cov @ F.T + Q
+            np.testing.assert_allclose(summary.mean, mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(summary.cov, 0.5 * (cov + cov.T), rtol=0, atol=1e-12)
 
     def test_path_variant_matches_single_calls(self):
         ts = [0.3, 0.7, 1.5]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -74,6 +75,7 @@ class TestSample:
             (["--q0", "inf"], "q0 must be a finite number"),
             (["--q0", "nan"], "q0 must be a finite number"),
             (["--p0=-inf"], "p0 must be a finite number"),
+            (["--q0=-inf"], "q0 must be a finite number"),
         ],
     )
     def test_flags_fail_before_any_output_naming_the_flag(self, capsys, flags, message):
@@ -82,6 +84,14 @@ class TestSample:
         )
         assert (code, out) == (2, "")
         assert f"error: {message}" in err
+
+    def test_a_negative_value_in_exponent_form_takes_the_equals_form(self, capsys):
+        # argparse reads "-1e3" after a flag as an option of its own, so it
+        # is written --q0=-1e3 (see the README's CLI section)
+        code, out, err = run_cli(capsys, "sample", "--potential", "quadratic_iso", "--step", "0.1", "--steps", "1", "--q0=-1e3")
+        assert code == 0, err
+        header, first = out.splitlines()[:2]
+        assert float(first.split(",")[header.split(",").index("q0")]) == -1000.0
 
 
 class TestTheory:
@@ -99,6 +109,13 @@ class TestTheory:
         # every line but the chi-squared bounds is valid here
         code, out, err = run_cli(
             capsys, "theory", "--L", "1", "--m", "1", "--alpha", "1", "--gamma", "2", "--poincare", "-1",
+        )
+        assert (code, out) == (2, "")
+        assert "error: alpha, gamma and lambda_pi must be > 0" in err
+
+    def test_a_negative_value_in_exponent_form_reaches_the_rule(self, capsys):
+        code, out, err = run_cli(
+            capsys, "theory", "--L", "1", "--m", "1", "--alpha", "1", "--gamma", "2", "--poincare=-1e-3",
         )
         assert (code, out) == (2, "")
         assert "error: alpha, gamma and lambda_pi must be > 0" in err
@@ -357,3 +374,44 @@ class TestExperiment:
             assert code == 0, err
             outputs.append((out_dir / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("init", [{"q": 1e200}, {"q": 0.0, "q_std": 1e308}], ids=["huge-mean", "huge-spread"])
+    def test_a_start_that_overflows_writes_nan_rows(self, tmp_path, capsys, init):
+        # the start and its step-0 record run under the loop's errstate: an
+        # overflow there is a nan metric (the README's overflow rule), not a
+        # RuntimeWarning
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "u", "kind": "uld_klmc", "gamma": 2.0, "step": 0.1}],
+            "chains": 10,
+            "steps": 3,
+            "init": init,
+        }
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(out_dir), "--format", "csv")
+        assert code == 0, err
+        rows = read_csv(str(out_dir / "results.csv"))
+        assert [r.step for r in rows] == [0, 1, 2, 3]
+        assert all(math.isnan(r.value) for r in rows)
+
+    def test_a_reference_start_that_overflows_diverges_without_a_warning(self, tmp_path, capsys):
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "u", "kind": "uld_klmc", "gamma": 2.0, "step": 0.1}],
+            "chains": 10,
+            "steps": 3,
+            "init": {"q": 0.0, "q_std": 1e308},
+            "metric": "mean_error",
+            "reference": {"type": "benchmark_run", "kind": "uld_klmc", "step": 0.1, "chains": 10},
+        }
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert "error: reference run diverged at step 1" in err

@@ -211,7 +211,7 @@ def test_coupled_logcosh_mean_matches_adaptive_quadrature(shift):
 def test_import_loads_neither_optimize_nor_integrate():
     src = str(Path(hfhr.__file__).resolve().parent.parent)
     code = (
-        "import sys, hfhr, hfhr.cli; "
+        "import sys, hfhr, hfhr.cli; hfhr.analysis.optimal_alpha(1.0, 1.0, 2.0); "
         "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
     )
     done = subprocess.run(
