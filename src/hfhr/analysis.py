@@ -62,11 +62,19 @@ class GaussianSummary:
 
 @dataclass(frozen=True, eq=False)
 class AffineGaussianMap:
-    """One kernel step as x -> T x + c + N(0, Q)."""
+    """One kernel step as x -> T x + c + N(0, Q).
+
+    ``modes`` is optional: ``(U, T_blocks, Q_blocks)`` with U the orthonormal
+    eigenvectors of H (one column per eigenvalue) and T_blocks, Q_blocks the
+    (d, k, k) per-eigenvalue blocks, k = 1 or 2, such that quadrant (i, j) of
+    T is U diag(T_blocks[:, i, j]) U^T, and likewise for Q.  A map built by
+    hand leaves it None.
+    """
 
     T: np.ndarray
     c: np.ndarray
     Q: np.ndarray
+    modes: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
     def dim(self) -> int:
@@ -237,26 +245,45 @@ def step_thresholds(L: float, m: float, G: float, alpha: float, gamma: float) ->
     return {"h0": h0, "h1": h1, "h2": h2, "h3": h3}
 
 
-def _phi_drift_blocks(gamma: float, t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """T and Q of the exact OU flow dq = p dt, dp = -gamma p dt + sqrt(2 gamma) dW.
+def _ou_blocks(gamma: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 T and Q of the exact OU flow dq = p dt, dp = -gamma p dt + sqrt(2 gamma) dW.
 
     Per coordinate, with x = gamma t: drift (1 - e^{-x})/gamma, decay e^{-x},
     and Q = int_0^t e^{As} diag(0, 2 gamma) e^{A^T s} ds has v_pp = 1 - e^{-2x},
     v_qp = (1 - e^{-x})^2/gamma, v_qq = (2x + 4e^{-x} - e^{-2x} - 3)/gamma^2.
     Written out here, not taken from the samplers, so the two check each other.
     """
-    if gamma <= 0 or t <= 0:
-        raise ValueError("gamma and t must be > 0")
     x = gamma * t
     if x >= 700.0:
         raise ValueError("gamma * t too large for stable exponentials")
     u, w = math.expm1(-x), math.expm1(-2.0 * x)  # e^{-x} - 1 and e^{-2x} - 1, no cancellation
     series = (x**3) * (2.0 / 3.0 - 0.5 * x + (7.0 / 30.0) * x * x)  # closed form cancels to O(x^3)
     v_qq = (series if x < 1e-4 else 2.0 * x + 4.0 * u - w) / gamma**2
-    eye = np.eye(n)
-    T = np.block([[eye, -u / gamma * eye], [np.zeros((n, n)), math.exp(-x) * eye]])
-    Q = np.block([[v_qq * eye, u * u / gamma * eye], [u * u / gamma * eye, -w * eye]])
+    T = np.array([[1.0, -u / gamma], [0.0, math.exp(-x)]])
+    Q = np.array([[v_qq, u * u / gamma], [u * u / gamma, -w]])
     return T, Q
+
+
+def _blocks(lam: np.ndarray, a, b, c, e) -> np.ndarray:
+    """(d, 2, 2) stack of [[a, b], [c, e]], each entry a scalar or one value per eigenvalue."""
+    out = np.empty((lam.size, 2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a, b, c, e
+    return out
+
+
+def _from_modes(U: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Dense matrix whose quadrant (i, j) is U diag(blocks[:, i, j]) U^T.
+
+    A quadrant is built as b I + U diag(blocks[:, i, j] - b) U^T with b the
+    midpoint of its entries, so its rounding scales with the spread of the
+    entries over the modes, not with their size, and a quadrant equal on
+    every mode is an exact multiple of I.
+    """
+    n, k = U.shape[0], blocks.shape[-1]
+    mid = 0.5 * (blocks.min(axis=0) + blocks.max(axis=0))
+    spread = (blocks - mid).transpose(1, 2, 0)[:, :, None, :]
+    quadrants = (U * spread) @ U.T + mid[:, :, None, None] * np.eye(n)
+    return quadrants.transpose(0, 2, 1, 3).reshape(k * n, k * n)
 
 
 def step_affine_map(
@@ -264,38 +291,72 @@ def step_affine_map(
 ) -> AffineGaussianMap:
     """Exact affine-Gaussian representation of one kernel step on a quadratic.
 
-    For 'ula' the returned map acts on position space only (momentum is
-    carried identically zero by that kernel); the remaining kinds act on the
-    full (q, p) phase space.
+    Every kernel's map is a polynomial in H, so it is written once per
+    eigenvalue lambda of H (H -> lambda), as a 2x2 block, and the dense T and
+    Q are assembled from the blocks through the eigenvectors; the blocks are
+    returned in ``modes``.  For 'ula' the map acts on position space only
+    (momentum is carried identically zero by that kernel) and its blocks are
+    1x1; the remaining kinds act on the full (q, p) phase space.  The
+    parameters follow the sampler's rules: H finite and symmetric, h > 0,
+    alpha >= 0, and gamma > 0 for every kind but 'ula'.
     """
+    if kind not in ("ula", "hfhr_em", "uld_klmc", "hfhr_strang"):
+        raise ValueError(f"unknown kernel kind '{kind}'")
     H = np.atleast_2d(np.asarray(H, dtype=float))
     n = H.shape[0]
-    if H.shape != (n, n) or np.max(np.abs(H - H.T)) > 1e-10 * max(1.0, np.abs(H).max()):
-        raise ValueError("H must be symmetric")
-    eye = np.eye(n)
-    zeros = np.zeros((n, n))
+    if (
+        H.shape != (n, n)
+        or not np.all(np.isfinite(H))
+        or np.max(np.abs(H - H.T)) > 1e-10 * max(1.0, np.abs(H).max())
+    ):
+        raise ValueError("H must be finite and symmetric")
+    for name, value in (("h", h), ("gamma", gamma), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number")
+    if h <= 0:
+        raise ValueError("h must be > 0")
+    if kind != "ula" and gamma <= 0:
+        raise ValueError("gamma must be > 0")
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    lam, U = np.linalg.eigh(0.5 * (H + H.T))
 
     if kind == "ula":
-        return AffineGaussianMap(T=eye - h * H, c=np.zeros(n), Q=2.0 * h * eye)
-    if kind == "hfhr_em":
-        T = np.block([[eye - alpha * h * H, h * eye], [-h * H, (1.0 - gamma * h) * eye]])
-        Q = np.block([[2.0 * alpha * h * eye, zeros], [zeros, 2.0 * gamma * h * eye]])
-        return AffineGaussianMap(T=T, c=np.zeros(2 * n), Q=Q)
-    if kind == "uld_klmc":
-        decay = math.exp(-gamma * h)
+        T, Q = (1.0 - h * lam)[:, None, None], np.full((n, 1, 1), 2.0 * h)
+    elif kind == "hfhr_em":
+        T = _blocks(lam, 1.0 - alpha * h * lam, h, -h * lam, 1.0 - gamma * h)
+        Q = _blocks(lam, 2.0 * alpha * h, 0.0, 0.0, 2.0 * gamma * h)
+    elif kind == "uld_klmc":
         c1 = -math.expm1(-gamma * h) / gamma
         c2 = (h - c1) / gamma
-        T = np.block([[eye - c2 * H, c1 * eye], [-c1 * H, decay * eye]])
-        return AffineGaussianMap(T=T, c=np.zeros(2 * n), Q=_phi_drift_blocks(gamma, h, n)[1])
-    if kind == "hfhr_strang":
-        Tphi, Qphi = _phi_drift_blocks(gamma, 0.5 * h, n)
-        Tpsi = np.block([[eye - alpha * h * H, zeros], [-h * H, eye]])
-        Qpsi = np.block([[2.0 * alpha * h * eye, zeros], [zeros, zeros]])
+        T = _blocks(lam, 1.0 - c2 * lam, c1, -c1 * lam, math.exp(-gamma * h))
+        Q = np.tile(_ou_blocks(gamma, h)[1], (n, 1, 1))
+    else:  # hfhr_strang: OU half flow, then psi, then OU half flow
+        Tphi, Qphi = _ou_blocks(gamma, 0.5 * h)
+        Tpsi = _blocks(lam, 1.0 - alpha * h * lam, 0.0, -h * lam, 1.0)
         T = Tphi @ Tpsi @ Tphi
-        inner = Tpsi @ Qphi @ Tpsi.T + Qpsi
+        inner = Tpsi @ Qphi @ Tpsi.transpose(0, 2, 1) + np.diag([2.0 * alpha * h, 0.0])
         Q = Tphi @ inner @ Tphi.T + Qphi
-        return AffineGaussianMap(T=T, c=np.zeros(2 * n), Q=0.5 * (Q + Q.T))
-    raise ValueError(f"unknown kernel kind '{kind}'")
+        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+    dense_Q = _from_modes(U, Q)
+    return AffineGaussianMap(
+        T=_from_modes(U, T),
+        c=np.zeros(n * T.shape[-1]),
+        Q=0.5 * (dense_Q + dense_Q.T),
+        modes=(U, T, Q),
+    )
+
+
+def _block_radii(blocks: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue modulus of each block of an (m, n, n) stack, n = 1 or 2."""
+    if blocks.shape[-1] == 1:
+        return np.abs(blocks[:, 0, 0])
+    tr = blocks[:, 0, 0] + blocks[:, 1, 1]
+    det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+    disc = tr * tr - 4.0 * det
+    real = 0.5 * (np.abs(tr) + np.sqrt(np.maximum(disc, 0.0)))
+    # a complex pair has |lambda|^2 = det
+    return np.where(disc <= 0.0, np.sqrt(np.maximum(det, 0.0)), real)
 
 
 def spectral_radius(T: np.ndarray) -> float:
@@ -304,16 +365,8 @@ def spectral_radius(T: np.ndarray) -> float:
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n == 1:
-        return abs(float(T[0, 0]))
-    if n == 2:
-        tr = T[0, 0] + T[1, 1]
-        det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
-        disc = tr * tr - 4.0 * det
-        if disc <= 0.0:
-            return math.sqrt(det)  # complex pair: |lambda|^2 = det
-        root = math.sqrt(disc)
-        return max(abs(tr + root), abs(tr - root)) / 2.0
+    if n <= 2:
+        return float(_block_radii(T[None])[0])
     return float(np.max(np.abs(np.linalg.eigvals(T))))
 
 
@@ -428,15 +481,31 @@ def gaussian_continuous_propagation(
 
 
 def discrete_stationary_covariance(step_map: AffineGaussianMap) -> GaussianSummary:
-    """Unique fixed point of S = T S T^T + Q, by a direct discrete Lyapunov solve."""
-    radius = spectral_radius(step_map.T)
+    """Unique fixed point of S = T S T^T + Q, with the mean solving (I - T) m = c.
+
+    A map that carries ``modes`` is solved mode by mode: the radius comes
+    from each block's trace and determinant, every block's Stein equation
+    S_l = T_l S_l T_l^T + Q_l is one small Kronecker system of a batched
+    solve, and S is assembled through the eigenvectors.  A map without modes
+    gets a dense eigenvalue radius and a direct discrete Lyapunov solve.
+    """
+    modal = step_map.modes is not None
+    radius = float(_block_radii(step_map.modes[1]).max()) if modal else spectral_radius(step_map.T)
     if radius >= 1.0:
         raise ValueError(
             f"spectral radius {radius:.6f} >= 1: no stationary distribution"
         )
-    S = solve_discrete_lyapunov(step_map.T, step_map.Q)
-    mean = np.linalg.solve(np.eye(step_map.dim) - step_map.T, step_map.c)
-    return GaussianSummary(mean=mean, cov=0.5 * (S + S.T))
+    if not modal:
+        S = solve_discrete_lyapunov(step_map.T, step_map.Q)
+        mean = np.linalg.solve(np.eye(step_map.dim) - step_map.T, step_map.c)
+        return GaussianSummary(mean=mean, cov=0.5 * (S + S.T))
+    U, T, Q = step_map.modes
+    d, k = T.shape[0], T.shape[-1]
+    stein = np.eye(k * k) - np.einsum("mik,mjl->mijkl", T, T).reshape(d, k * k, k * k)
+    S = np.linalg.solve(stein, Q.reshape(d, k * k, 1)).reshape(d, k, k)
+    c = (step_map.c.reshape(k, d) @ U).T[..., None]
+    mean = U @ np.linalg.solve(np.eye(k) - T, c)[..., 0]
+    return GaussianSummary(mean=mean.T.ravel(), cov=_from_modes(U, S))
 
 
 __all__ = [

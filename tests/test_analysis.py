@@ -31,6 +31,65 @@ from hfhr.samplers import ChainState, SamplerConfig, hfhr_step
 from hfhr.potentials import builtin_potential
 
 
+KINDS = ("hfhr_strang", "uld_klmc", "ula", "hfhr_em")
+
+
+def _random_hessian(rng, spectrum):
+    """Symmetric H with the given eigenvalues in a random orthonormal basis."""
+    d = len(spectrum)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    H = (basis * spectrum) @ basis.T
+    return 0.5 * (H + H.T)
+
+
+def _mp_stationary_cov(kind, H, alpha, gamma, h, digits=40):
+    """Stationary covariance of one kernel step on H, from the dense map written
+    in mpmath and its Stein equation solved as a Kronecker system."""
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        n = len(H)
+        Hm = mp.matrix([[mp.mpf(float(x)) for x in row] for row in H])
+        a, g, h = mp.mpf(alpha), mp.mpf(gamma), mp.mpf(h)
+        eye, zero = mp.eye(n), mp.zeros(n, n)
+
+        def block(qq, qp, pq, pp):
+            out = mp.zeros(2 * n, 2 * n)
+            for i, j in itertools.product(range(n), repeat=2):
+                out[i, j], out[i, n + j] = qq[i, j], qp[i, j]
+                out[n + i, j], out[n + i, n + j] = pq[i, j], pp[i, j]
+            return out
+
+        def ou(t):
+            e, e2 = mp.exp(-g * t), mp.exp(-2 * g * t)
+            v_qq = (2 * g * t + 4 * (e - 1) - (e2 - 1)) / g**2
+            v_qp = (1 - e) ** 2 / g
+            return block(eye, (1 - e) / g * eye, zero, e * eye), block(
+                v_qq * eye, v_qp * eye, v_qp * eye, (1 - e2) * eye
+            )
+
+        if kind == "ula":
+            T, Q = eye - h * Hm, 2 * h * eye
+        elif kind == "hfhr_em":
+            T = block(eye - a * h * Hm, h * eye, -h * Hm, (1 - g * h) * eye)
+            Q = block(2 * a * h * eye, zero, zero, 2 * g * h * eye)
+        elif kind == "uld_klmc":
+            c1 = (1 - mp.exp(-g * h)) / g
+            c2 = (h - c1) / g
+            T, Q = block(eye - c2 * Hm, c1 * eye, -c1 * Hm, mp.exp(-g * h) * eye), ou(h)[1]
+        else:
+            Tphi, Qphi = ou(h / 2)
+            Tpsi = block(eye - a * h * Hm, zero, -h * Hm, eye)
+            T = Tphi * Tpsi * Tphi
+            Q = Tphi * (Tpsi * Qphi * Tpsi.T + block(2 * a * h * eye, zero, zero, zero)) * Tphi.T + Qphi
+        k = T.rows
+        stein = mp.eye(k * k)
+        for i, j, p, q in itertools.product(range(k), repeat=4):
+            stein[i * k + j, p * k + q] -= T[i, p] * T[j, q]
+        S = mp.lu_solve(stein, mp.matrix([Q[i, j] for i, j in itertools.product(range(k), repeat=2)]))
+        return np.array([[float(S[i * k + j]) for j in range(k)] for i in range(k)])
+
+
 class TestTheoryConstants:
     def test_lambda_prime_example(self):
         c = theory_constants(1.0, 1.0, 1.0, 2.0)
@@ -267,6 +326,36 @@ class TestStepAffineMap:
     def test_requires_symmetric_hessian(self):
         with pytest.raises(ValueError):
             step_affine_map("hfhr_em", [[1.0, 0.5], [0.0, 1.0]], 0.0, 1.0, 0.1)
+        # the sampler's rules, each a ValueError that names its parameter
+        nan, inf = math.nan, math.inf
+        cases = [
+            ("hfhr_em", [[1.0, nan], [nan, 1.0]], 0.0, 1.0, 0.1, "H must be finite"),
+            ("ula", [[inf]], 0.0, 0.0, 0.1, "H must be finite"),
+            ("uld_klmc", [[1.0]], 0.0, 0.0, 0.1, "gamma must be > 0"),
+            ("hfhr_em", [[1.0]], 0.0, -1.0, 0.1, "gamma must be > 0"),
+            ("hfhr_strang", [[1.0]], 0.0, 0.0, 0.1, "gamma must be > 0"),
+            ("ula", [[1.0]], 0.0, 0.0, -0.1, "h must be > 0"),
+            ("hfhr_em", [[1.0]], 0.0, 1.0, -0.1, "h must be > 0"),
+            ("uld_klmc", [[1.0]], 0.0, 1.0, 0.0, "h must be > 0"),
+            ("hfhr_strang", [[1.0]], 0.0, 1.0, nan, "h must be a finite number"),
+            ("uld_klmc", [[1.0]], 0.0, inf, 0.1, "gamma must be a finite number"),
+            ("hfhr_em", [[1.0]], nan, 1.0, 0.1, "alpha must be a finite number"),
+            *[(kind, [[1.0]], -0.5, 1.0, 0.1, "alpha must be >= 0") for kind in KINDS],
+            ("nope", [[1.0]], 0.0, 1.0, 0.1, "unknown kernel kind 'nope'"),
+        ]
+        for *args, match in cases:
+            with pytest.raises(ValueError, match=match):
+                step_affine_map(*args)
+
+    def test_block_radius_matches_dense(self):
+        # the largest 2x2 block radius is the radius of the whole map
+        rng = np.random.default_rng(5)
+        for d, kind in itertools.product((1, 3, 8), KINDS):
+            amap = step_affine_map(kind, _random_hessian(rng, rng.uniform(0.5, 2.0, d)), 0.7, 2.5, 0.2)
+            U, T_blocks, Q_blocks = amap.modes
+            assert U.shape == (d, d) and T_blocks.shape == Q_blocks.shape
+            per_mode = max(spectral_radius(block) for block in T_blocks)
+            assert per_mode == pytest.approx(spectral_radius(amap.T), rel=1e-12, abs=0), (kind, d)
 
 
 class TestSpectralRadius:
@@ -473,6 +562,84 @@ class TestDiscreteStationaryCovariance:
         amap = AffineGaussianMap(T=np.array([[1.0]]), c=np.zeros(1), Q=np.eye(1))
         with pytest.raises(ValueError, match="no stationary"):
             discrete_stationary_covariance(amap)
+        # criterion 7a's stiff mode fails alike with and without its modes,
+        # alone and next to a stable mode
+        for H in ([[100.0]], np.diag([1.0, 100.0])):
+            stiff = step_affine_map("hfhr_strang", H, 1.0, 20.0, 0.2)
+            for amap in (stiff, AffineGaussianMap(T=stiff.T, c=stiff.c, Q=stiff.Q)):
+                with pytest.raises(ValueError) as err:
+                    discrete_stationary_covariance(amap)
+                assert str(err.value) == "spectral radius 19.980785 >= 1: no stationary distribution"
+
+    def test_modal_path_matches_the_dense_reference(self):
+        # a hand-built copy without modes takes the eigvals + scipy path
+        rng = np.random.default_rng(2)
+        cases = [(_random_hessian(rng, rng.uniform(0.5, 2.0, d)), False) for d in (1, 3, 8)]
+        # repeated eigenvalues, then a slow mode that puts the radius near 0.999
+        cases += [(np.eye(4), False), (_random_hessian(rng, [0.01, 1.0, 2.0]), True)]
+        for (H, critical), kind in itertools.product(cases, KINDS):
+            amap = step_affine_map(kind, H, 0.5, 2.0, 0.1)
+            reference = AffineGaussianMap(T=amap.T, c=amap.c, Q=amap.Q)
+            radius = spectral_radius(amap.T)
+            assert (0.998 < radius < 0.9996) == critical, (kind, radius)
+            got, want = discrete_stationary_covariance(amap), discrete_stationary_covariance(reference)
+            scale = np.abs(want.cov).max()
+            rel = np.abs(got.cov - want.cov).max() / scale
+            assert rel <= (1e-9 if critical else 1e-12), (kind, H.shape, radius, rel)
+            np.testing.assert_array_equal(got.mean, want.mean)
+            # a nonzero offset goes through the same modes
+            c = rng.standard_normal(amap.dim)
+            shifted = AffineGaussianMap(T=amap.T, c=c, Q=amap.Q, modes=amap.modes)
+            got = discrete_stationary_covariance(shifted).mean
+            want = discrete_stationary_covariance(AffineGaussianMap(T=amap.T, c=c, Q=amap.Q)).mean
+            rel = np.abs(got - want).max() / np.abs(want).max()
+            assert rel <= (1e-9 if critical else 1e-12), (kind, H.shape, radius, rel)
+
+    def test_modal_error_no_larger_than_scipy_in_mpmath(self):
+        # both paths against the stationary law of the kernel on H, in 40
+        # digits. At d = 1 the two solve the same 2x2 system. At d = 2 the
+        # modal path sees H through eigh and scipy through the dense map, so
+        # they may trade the last ulps: the modal error may exceed scipy's
+        # by at most eps times the conditioning 1 / (1 - radius^2).
+        rng = np.random.default_rng(3)
+        for trial, kind in itertools.product(range(8), KINDS):
+            d = 1 + trial % 2
+            H = _random_hessian(rng, rng.uniform(0.01, 3.0, d))
+            alpha, gamma, h = rng.uniform(0.0, 1.0), rng.uniform(0.5, 3.0), rng.uniform(0.01, 0.5)
+            amap = step_affine_map(kind, H, alpha, gamma, h)
+            radius = spectral_radius(amap.T)
+            if radius >= 1.0:
+                continue
+            exact = _mp_stationary_cov(kind, H, alpha, gamma, h)
+            scale = np.abs(exact).max()
+            modal = np.abs(discrete_stationary_covariance(amap).cov - exact).max() / scale
+            dense = AffineGaussianMap(T=amap.T, c=amap.c, Q=amap.Q)
+            scipy = np.abs(discrete_stationary_covariance(dense).cov - exact).max() / scale
+            slack = 0.0 if d == 1 else np.finfo(float).eps / (1.0 - radius**2)
+            assert modal <= scipy + slack, (kind, d, radius, modal, scipy)
+
+    def test_step_maps_never_reach_scipy(self, monkeypatch):
+        # a silent fallback to the dense path would pass every value test
+        import hfhr.analysis as analysis
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+
+            return call
+
+        monkeypatch.setattr(analysis, "solve_discrete_lyapunov", forbidden("solve_discrete_lyapunov"))
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden("eigvals"))
+        rng = np.random.default_rng(4)
+        H = _random_hessian(rng, rng.uniform(0.5, 2.0, 5))
+        for kind in KINDS:
+            discrete_stationary_covariance(step_affine_map(kind, H, 0.5, 2.0, 0.1))
+        small = step_affine_map("ula", [[1.0]], 0.0, 0.0, 0.1)
+        with pytest.raises(AssertionError, match="solve_discrete_lyapunov called"):
+            discrete_stationary_covariance(AffineGaussianMap(T=small.T, c=small.c, Q=small.Q))
+        big = step_affine_map("hfhr_em", H, 0.5, 2.0, 0.1)
+        with pytest.raises(AssertionError, match="eigvals called"):
+            discrete_stationary_covariance(AffineGaussianMap(T=big.T, c=big.c, Q=big.Q))
 
     def test_strang_consistency_order(self):
         # stationary covariance converges to the target with order >= 0.9
