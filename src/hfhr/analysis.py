@@ -365,6 +365,8 @@ def spectral_radius(T: np.ndarray) -> float:
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError("matrix must be square")
+    if not np.isfinite(T).all():  # the closed form would return nan
+        raise ValueError("matrix must be finite")
     if n <= 2:
         return float(_block_radii(T[None])[0])
     return float(np.max(np.abs(np.linalg.eigvals(T))))
@@ -491,7 +493,7 @@ def discrete_stationary_covariance(step_map: AffineGaussianMap) -> GaussianSumma
     """
     modal = step_map.modes is not None
     radius = float(_block_radii(step_map.modes[1]).max()) if modal else spectral_radius(step_map.T)
-    if radius >= 1.0:
+    if not radius < 1.0:  # a nan radius is no stable map either
         raise ValueError(
             f"spectral radius {radius:.6f} >= 1: no stationary distribution"
         )

@@ -14,13 +14,17 @@ scored as stacked arrays (``_moment_values``).
 
 from __future__ import annotations
 
+import contextvars
 import csv
+import dataclasses
 import hashlib
 import html
 import json
 import math
+import mmap
 import os
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
@@ -33,7 +37,7 @@ from .metrics import chi2_histogram, w2_gaussian_stack
 from .metrics import w2_gaussian  # noqa: F401  perfbench's tracer wraps harness.w2_gaussian
 from .potentials import POTENTIAL_PARAMS, VALID_POTENTIALS, PotentialModel, builtin_potential, finite_number
 from .rng import RandomSource
-from .samplers import ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
+from .samplers import KERNELS, ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
 
 BLOCK_SIZE = 1000
 
@@ -377,23 +381,126 @@ def _groups(sizes: list, dim: int) -> list:
     return groups
 
 
-class _StackedDraws:
-    """Normals for a stack of equal-size blocks, each block from its own stream.
+# steps of noise a chunk holds when helper threads draw ahead, cut so that
+# steps x coordinates stays within _STACK_COORDS: two buffers of 4 steps of
+# hfhr_strang's 5 normals on 10 x 1,000 d = 1 chains take 3.2 MB
+_CHUNK_STEPS = 4
 
-    A request of shape ``lead + (B * n, d)`` takes each block's
-    ``lead + (n, d)`` draw from its source and puts block b's at rows
-    ``b * n:(b + 1) * n``, so every block sees the numbers it sees alone.
+# helper threads a group may start to draw its noise ahead of the kernel.
+# run_experiment sets 2 while it steps its groups one by one on the calling
+# thread; with a pool of workers the CPUs are busy already
+_NOISE_HELPERS = contextvars.ContextVar("hfhr_noise_helpers", default=0)
+
+
+def _mapped_empty(shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array in an anonymous mapping of its own, outside malloc.
+
+    A group's noise buffer lives as long as the group.  Taken from malloc,
+    its free at the group's end raises glibc's mmap threshold to its size,
+    and the kernels' temporaries then stay on a heap that keeps twice that
+    untrimmed: at 1,000 x 100 chains on two workers, about 7 MB more
+    resident memory.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+
+
+class _GroupNoise:
+    """A group's noise: each ``normals`` call is the next step's slab.
+
+    The group's B blocks of n chains hold one state of shape (B, n, d), and
+    block b's normals fill ``buf[b]``, of shape (K, draws, n, d), in one call
+    to its own source per chunk of K steps.  The stream is flat, so block b
+    draws the numbers of its steps run alone, in their order.  Step j of a
+    chunk reads the view ``buf[:, j].swapaxes(0, 1)``, shape
+    (draws, B, n, d); the last chunk holds only the steps left.
+
+    With ``helpers`` > 0, that many threads (at most one per block), each
+    owning a fixed share of the blocks, fill the next chunk into the second
+    of two buffers while the kernel steps the current one.  Two semaphores
+    per helper pass the buffers back and forth, so a helper never waits for
+    the caller to hand it work.  A fill that raises in a helper is raised in
+    the caller.  ``close`` stops and joins the helpers; without helpers the
+    caller fills one buffer of one step in place before each step.
     """
 
-    def __init__(self, sources: list, n: int):
+    def __init__(self, sources: list, draws: int, n: int, dim: int, steps: int, helpers: int = 0):
+        blocks = len(sources)
+        chunk = min(_CHUNK_STEPS, max(1, _STACK_COORDS // (blocks * n * dim)), steps) if helpers else 1
         self._sources = sources
-        self._n = n
+        self._steps = steps
+        self._shape = (draws, blocks, n, dim)
+        self._bufs = [_mapped_empty((blocks, chunk, draws, n, dim)) for _ in range(2 if helpers else 1)]
+        self._chunk = chunk
+        self._next_chunk = 0
+        self._buf = self._bufs[0]
+        self._used = self._filled = 0  # steps of the current chunk taken, and held
+        helpers = min(helpers, blocks)
+        self._error = None
+        self._stop = False
+        self._free = [threading.Semaphore(len(self._bufs)) for _ in range(helpers)]
+        self._full = [threading.Semaphore(0) for _ in range(helpers)]
+        self._threads = []
+        try:
+            for h in range(helpers):
+                share = range(h * blocks // helpers, (h + 1) * blocks // helpers)
+                thread = threading.Thread(target=self._helper, args=(h, share), name=f"hfhr-noise-{h}", daemon=True)
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:  # a thread that cannot start: stop the ones that did
+            self.close()
+            raise
+
+    def _fill(self, c: int, blocks) -> None:
+        """Chunk c's normals for ``blocks``, drawn into their buffer in place."""
+        buf = self._bufs[c % len(self._bufs)]
+        m = min(self._chunk, self._steps - c * self._chunk)
+        for b in blocks:
+            self._sources[b].normals((m,) + buf.shape[2:], out=buf[b, :m])
+
+    def _helper(self, h: int, blocks) -> None:
+        try:
+            for c in range(-(-self._steps // self._chunk)):
+                self._free[h].acquire()
+                if self._stop:
+                    return
+                self._fill(c, blocks)
+                self._full[h].release()
+        except BaseException as exc:
+            self._error = exc
+            self._full[h].release()
+
+    def _take(self) -> None:
+        """Make the next chunk current: wait for the helpers' fill, or fill it here."""
+        c = self._next_chunk
+        if self._threads:
+            if c > 0:  # every step of the last chunk has returned
+                for free in self._free:
+                    free.release()
+            for full in self._full:
+                full.acquire()
+            if self._error is not None:
+                raise self._error
+        else:
+            self._fill(c, range(len(self._sources)))
+        self._buf = self._bufs[c % len(self._bufs)]
+        self._used, self._filled = 0, min(self._chunk, self._steps - c * self._chunk)
+        self._next_chunk = c + 1
 
     def normals(self, shape) -> np.ndarray:
-        if len(self._sources) == 1:
-            return self._sources[0].normals(shape)
-        block_shape = tuple(shape[:-2]) + (self._n, shape[-1])
-        return np.concatenate([source.normals(block_shape) for source in self._sources], axis=-2)
+        if tuple(shape) != self._shape:
+            raise ValueError(f"the group's noise has shape {self._shape}, not {tuple(shape)}")
+        if self._used == self._filled:
+            self._take()
+        j = self._used
+        self._used = j + 1
+        return self._buf[:, j].swapaxes(0, 1)
+
+    def close(self) -> None:
+        self._stop = True
+        for free in self._free:
+            free.release()
+        for thread in self._threads:
+            thread.join()
 
 
 def _run_group(
@@ -406,40 +513,50 @@ def _run_group(
     n: int,
     keep_samples: bool,
 ) -> tuple:
-    """Step equal-size blocks as one (B * n, d) state: (records, diverged_at).
+    """Step equal-size blocks as one (B, n, d) state: (records, diverged_at).
 
     Block b draws only from ``RandomSource(spec.seed, streams[b])``, so its
-    rows hold the numbers of the block run alone.  Step k is recorded when it
-    is in ``record_steps`` (a range tests that by arithmetic) or is the last
-    step; a record is the blocks' stacked ``(sum_q (B, d), sum_qq (B, d, d))``,
-    or the group's samples.  The group stops at its first non-finite row,
+    rows hold the numbers of the block run alone.  Its noise comes from a
+    ``_GroupNoise``, drawn ahead by as many helper threads as
+    ``_NOISE_HELPERS`` allows.  The gradient sees the state as its
+    (B * n, d) rows, the shape each reduction in it has alone.  Step k is
+    recorded when it is in ``record_steps`` (a range tests that by
+    arithmetic) or is the last step; a record is the blocks' stacked
+    ``(sum_q (B, d), sum_qq (B, d, d))``, or the group's samples as
+    (B * n, d) rows.  The group stops at its first non-finite row,
     ``diverged_at``: a config's output ends before its first divergence, so
     no later step could reach it.
     """
     sources = [RandomSource(spec.seed, stream) for stream in streams]
+    dim = model.dim
+    grad = model.grad
+    rows_model = dataclasses.replace(model, grad=lambda q: grad(q.reshape(-1, dim)).reshape(q.shape))
 
     def snapshot(q):
         if keep_samples:
-            return q.copy()
+            return q.reshape(-1, dim).copy()
         # every block's moments at once: the same sums and syrk products
         # as each block's (n, d) rows would give alone
-        qs = q.reshape(len(sources), n, -1)
-        return qs.sum(axis=1), np.matmul(qs.transpose(0, 2, 1), qs)
+        return q.sum(axis=1), np.matmul(q.transpose(0, 2, 1), q)
 
     # the start and its record overflow as the loop's steps do: into a
     # divergence or a non-finite metric, never into a warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            state = _init_blocks(spec, model.dim, n, sources)
+            state = _init_blocks(spec, dim, n, sources)
         except (MemoryError, ValueError) as exc:  # numpy cannot allocate, or even ask for, the state
             raise ConfigError(f"chains and potential.params.d are too large for a block of {n} chains: {exc}") from exc
+        state = ChainState(q=state.q.reshape(len(sources), n, dim), p=state.p.reshape(len(sources), n, dim))
         records = [snapshot(state.q)]  # step 0 is always a record step
+    noise = _GroupNoise(sources, KERNELS[config.kind].draws, n, dim, steps, _NOISE_HELPERS.get())
     try:
-        for k, state in iterate_chain(state, make_stepper(model, config), steps, _StackedDraws(sources, n)):
+        for k, state in iterate_chain(state, make_stepper(rows_model, config), steps, noise):
             if k in record_steps or k == steps:
                 records.append(snapshot(state.q))
     except DivergenceError as exc:
         return records, exc.step
+    finally:
+        noise.close()
     return records, None
 
 
@@ -638,7 +755,11 @@ def run_experiment(
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 group_records, stops = zip(*pool.map(task, groups))
         else:
-            group_records, stops = zip(*map(task, groups))
+            helpers = _NOISE_HELPERS.set(2)
+            try:
+                group_records, stops = zip(*map(task, groups))
+            finally:
+                _NOISE_HELPERS.reset(helpers)
         # a group is charged its rows times the steps it ran
         grad_evals[config_id] = sum(
             sizes[group[0]] * len(group) * (steps if stop is None else stop) for group, stop in zip(groups, stops)
@@ -684,37 +805,28 @@ class SweepRow:
     iterations_std: float
 
 
-class _SharedDraws:
-    """One step's normals, drawn once from ``source`` and replayed to each pair.
+class _SharedSlab:
+    """One step's noise slab, drawn once from ``source`` and read by each pair.
 
-    The pairs of a lockstep sweep run one kernel on one stream, so the k-th
-    draw of a step is the same array for all of them.  ``new_step`` drops the
-    last step's draws and ``rewind`` starts the next pair at the first draw.
-    The arrays are read-only: a kernel that wrote into its noise would
-    otherwise change it for the pairs after it.
+    The pairs of a lockstep sweep run one kernel on one stream, so a step's
+    slab is the same for all of them: ``draw`` refills it in place, and
+    ``normals`` hands every pair the same view.  The view is read-only: a
+    kernel that wrote into its noise would otherwise change it for the pairs
+    after it.
     """
 
-    def __init__(self, source: RandomSource):
+    def __init__(self, source: RandomSource, shape: tuple):
         self.seed = source.seed
         self._source = source
-        self._draws = []
-        self._next = 0
+        self._slab = np.empty(shape)
+        self._view = self._slab.view()
+        self._view.flags.writeable = False
 
-    def new_step(self):
-        self._draws = []
-        self._next = 0
-
-    def rewind(self):
-        self._next = 0
+    def draw(self) -> None:
+        self._source.normals(self._slab.shape, out=self._slab)
 
     def normals(self, shape) -> np.ndarray:
-        if self._next == len(self._draws):
-            z = self._source.normals(shape)
-            z.flags.writeable = False
-            self._draws.append(z)
-        z = self._draws[self._next]
-        self._next += 1
-        return z
+        return self._view
 
 
 def sweep_iteration_complexity(
@@ -736,12 +848,12 @@ def sweep_iteration_complexity(
     deviation.  An all-divergent alpha reports infinity.
 
     The pairs of one (alpha, seed) advance in lockstep, one step at a time
-    in grid order (gamma outer, h inner), on the draws of one stream
-    ``RandomSource(seed, 0)`` taken once per step: each pair sees the
+    in grid order (gamma outer, h inner), on one noise slab of the stream
+    ``RandomSource(seed, 0)`` drawn once per step: each pair sees the
     numbers it would see run alone.  A diverging pair leaves; the scan stops
     at the first step where a pair hits, and the first such pair in grid
     order wins.  Lockstep holds one state per live pair, pairs x chains x
-    dim x 16 bytes.
+    dim x 16 bytes, and the slab, chains x dim x 40 bytes.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -758,27 +870,25 @@ def sweep_iteration_complexity(
         )
         if steppers and np.linalg.norm(state.q.mean(axis=0) - target) <= eps:
             return 0, 0
-        draws = _SharedDraws(RandomSource(seed, 0))
+        slab = _SharedSlab(RandomSource(seed, 0), (KERNELS["hfhr_strang"].draws,) + state.q.shape)
         # each chain holds iterate_chain's errstate across its yields; closing
         # them all inside one outer errstate puts the caller's state back
         # whatever order they leave in
         with np.errstate(over="ignore", invalid="ignore"), ExitStack() as stack:
             live = [
-                (i, stack.enter_context(closing(iterate_chain(state, stepper, cap, draws))))
+                (i, stack.enter_context(closing(iterate_chain(state, stepper, cap, slab))))
                 for i, stepper in enumerate(steppers)
             ]
-            while live:
-                draws.new_step()
+            for _ in range(cap):  # every live pair steps once a pass, up to the cap
+                if not live:
+                    break
+                slab.draw()
                 survivors = []
                 for i, chain in live:
-                    draws.rewind()
                     try:
-                        stepped = next(chain, None)
+                        k, pair_state = next(chain)
                     except DivergenceError:
                         continue
-                    if stepped is None:  # every live pair reaches the cap at once
-                        return None, None
-                    k, pair_state = stepped
                     if np.linalg.norm(pair_state.q.mean(axis=0) - target) <= eps:
                         return k, i
                     survivors.append((i, chain))

@@ -19,8 +19,13 @@ class RandomSource:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    def normals(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(shape)
+    def normals(self, shape, out=None) -> np.ndarray:
+        """The stream's next normals of ``shape``, drawn into ``out`` if given.
+
+        ``out`` must be a C-contiguous float64 array of that shape; the
+        array drawn into is returned either way.
+        """
+        return self._gen.standard_normal(shape, out=out)
 
 
 class ZeroNoise:

@@ -6,28 +6,38 @@ Four kernels are provided:
     Symmetric splitting of the accelerated dynamics: an exact
     Ornstein-Uhlenbeck half step, one Euler-Maruyama step of the
     position-dissipation flow, and a second OU half step.  One gradient
-    evaluation and 2d + d + 2d normal draws per step, in that order.
+    evaluation and 5 normals per coordinate per step: 2 for the first OU
+    half step, 1 for the flow and 2 for the second half step.
 ``uld_klmc``
     First-order KLMC: the underdamped Langevin update integrated exactly
-    over one step with the gradient frozen at the incoming position.
+    over one step with the gradient frozen at the incoming position; 2
+    normals per coordinate, the OU pair.
 ``ula``
     Euler-Maruyama on overdamped Langevin; momentum is carried untouched.
+    1 normal per coordinate.
 ``hfhr_em``
     Plain Euler-Maruyama on the accelerated dynamics (the forward-Euler
-    mean process analyzed in the spectral module).
+    mean process analyzed in the spectral module); 2 normals per
+    coordinate, position noise then momentum noise.
 
 All kernels are pure functions of (state, rng) and broadcast over leading
-axes of the state arrays, so a batch of chains steps as one call.
-``KERNELS`` maps each kind to the factory of its step, ``make_stepper``
-builds that step, and ``iterate_chain`` is the one loop that applies it and
-stops a chain that leaves the finite floats.
+axes of the state arrays, so a batch of chains steps as one call.  A step
+asks ``rng`` for its noise once, as one slab
+``rng.normals((draws,) + shape)`` of its kind's ``draws`` normals per
+coordinate, and reads ``z[0]``, ``z[1]``, ... in the order listed above.
+A ``RandomSource`` stream is flat, so that slab holds the numbers of the
+separate draws in turn; a caller that draws ahead may hand the step a
+prepared slab of that shape instead.  ``KERNELS`` maps each kind to the
+factory of its step and its ``draws``, ``make_stepper`` builds that step,
+and ``iterate_chain`` is the one loop that applies it and stops a chain
+that leaves the finite floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,7 +87,7 @@ class SamplerConfig:
             object.__setattr__(self, name, float(value))
         if self.step <= 0:
             raise ValueError("step must be > 0")
-        if KERNELS[self.kind] is not _ula and self.gamma <= 0:
+        if KERNELS[self.kind].factory is not _ula and self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
@@ -140,8 +150,8 @@ def phi_kernel(gamma: float, t: float) -> PhiFlowKernel:
     )
 
 
-def _ou(q, p, kernel: PhiFlowKernel, rng):
-    z = rng.normals((2,) + np.shape(q))
+def _ou(q, p, kernel: PhiFlowKernel, z):
+    """The OU substep on the normal pair ``z[0]``, ``z[1]`` of each coordinate."""
     m = kernel.chol
     return q + kernel.drift * p + m[0, 0] * z[0], kernel.decay * p + m[1, 0] * z[0] + m[1, 1] * z[1]
 
@@ -155,7 +165,7 @@ def phi_half_step(state: ChainState, kernel: PhiFlowKernel, rng) -> ChainState:
 
     The noise pairs (q_i, p_i) per coordinate i through the 2x2 factor.
     """
-    return ChainState(*_ou(state.q, state.p, kernel, rng))
+    return ChainState(*_ou(state.q, state.p, kernel, rng.normals((2,) + np.shape(state.q))))
 
 
 def psi_tilde_step(
@@ -179,15 +189,16 @@ def _hfhr_strang(model: PotentialModel, config: SamplerConfig):
     noise_scale = math.sqrt(2.0 * alpha * h)
 
     def step(state, rng):
-        q, p = _ou(state.q, state.p, kernel, rng)
-        # g and eta stay referenced until the step returns: freed before the
-        # second OU substep allocates, they leave the heap top free, and glibc
-        # trims and re-faults it every step (about 3x the page faults per
-        # step at 1000 x 100 chains)
+        z = rng.normals((5,) + np.shape(state.q))
+        q, p = _ou(state.q, state.p, kernel, z[0:2])
+        # g stays referenced until the step returns: freed before the second
+        # OU substep, it leaves the heap top free, and glibc trims and
+        # re-faults it. At 1000 x 100 chains that is about 950 instead of
+        # 550 page faults per step on a slab refilled in place (1.7x in a
+        # run_experiment group); on a fresh RandomSource slab, none either way
         g = model.grad(q)
-        eta = rng.normals(np.shape(q))
-        q, p = _psi(q, p, g, eta, alpha, h, noise_scale)
-        return ChainState(*_ou(q, p, kernel, rng))
+        q, p = _psi(q, p, g, z[2], alpha, h, noise_scale)
+        return ChainState(*_ou(q, p, kernel, z[3:5]))
 
     return step
 
@@ -216,8 +227,8 @@ def _ula(model: PotentialModel, config: SamplerConfig):
 
     def step(state, rng):
         g = model.grad(state.q)
-        eta = rng.normals(np.shape(state.q))
-        return ChainState(q=state.q - h * g + noise_scale * eta, p=state.p)
+        z = rng.normals((1,) + np.shape(state.q))
+        return ChainState(q=state.q - h * g + noise_scale * z[0], p=state.p)
 
     return step
 
@@ -229,18 +240,30 @@ def _hfhr_em(model: PotentialModel, config: SamplerConfig):
 
     def step(state, rng):
         g = model.grad(state.q)
-        eta = rng.normals(np.shape(state.q))
-        xi = rng.normals(np.shape(state.q))
-        q = state.q + (state.p - alpha * g) * h + q_scale * eta
-        p = state.p - (gamma * state.p + g) * h + p_scale * xi
+        z = rng.normals((2,) + np.shape(state.q))
+        q = state.q + (state.p - alpha * g) * h + q_scale * z[0]
+        p = state.p - (gamma * state.p + g) * h + p_scale * z[1]
         return ChainState(q=q, p=p)
 
     return step
 
 
+class Kernel(NamedTuple):
+    """A kind's step factory and the normals per coordinate its step draws."""
+
+    factory: Callable
+    draws: int
+
+
 # kind -> factory that precomputes the kernel's constants once and returns
-# its (state, rng) -> state step; every step makes exactly one gradient call
-KERNELS = {"hfhr_strang": _hfhr_strang, "uld_klmc": _uld_klmc, "ula": _ula, "hfhr_em": _hfhr_em}
+# its (state, rng) -> state step, and its draws; every step makes exactly one
+# gradient call and one rng.normals((draws,) + shape) call
+KERNELS = {
+    "hfhr_strang": Kernel(_hfhr_strang, 5),
+    "uld_klmc": Kernel(_uld_klmc, 2),
+    "ula": Kernel(_ula, 1),
+    "hfhr_em": Kernel(_hfhr_em, 2),
+}
 KINDS = tuple(KERNELS)
 
 
@@ -248,12 +271,12 @@ def make_stepper(
     model: PotentialModel, config: SamplerConfig
 ) -> Callable[[ChainState, object], ChainState]:
     """Bind model and config into the kind's precomputed (state, rng) -> state step."""
-    return KERNELS[config.kind](model, config)
+    return KERNELS[config.kind].factory(model, config)
 
 
 def _single_step(factory):
     def step(state: ChainState, model: PotentialModel, config: SamplerConfig, rng) -> ChainState:
-        if KERNELS[config.kind] is not factory:
+        if KERNELS[config.kind].factory is not factory:
             raise ValueError(f"kind '{config.kind}' is not the kind of this kernel")
         return factory(model, config)(state, rng)
 
@@ -309,6 +332,7 @@ def simulate_chain(
 __all__ = [
     "KERNELS",
     "KINDS",
+    "Kernel",
     "ChainState",
     "SamplerConfig",
     "PhiFlowKernel",

@@ -301,8 +301,21 @@ def test_criterion_7_f4_acceleration():
         f"{1 - 1.0 * L * h:.0f}), chain diverged at step {blow_step} while the "
         f"baseline reached the threshold at step {uld_hit}. The stated "
         "criterion is unattainable for any kernel in scope; a stable alpha "
-        "needs alpha < 2/(L h) = 0.1 here."
+        f"needs alpha < {_stable_alpha_bound(L, gamma, h):.4f} here, where the "
+        "stiff mode's radius reaches 1."
     )
+
+
+def _stable_alpha_bound(L, gamma, h):
+    """The alpha in [0, 1] where hfhr_strang's stiff-mode radius reaches 1, by bisection."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if spectral_radius(step_affine_map("hfhr_strang", [[L]], mid, gamma, h).T) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # 7 (second clause). iteration-complexity sweep: best alpha at most half

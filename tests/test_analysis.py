@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -394,6 +395,21 @@ class TestSpectralRadius:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             spectral_radius(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, n, bad):
+        T = 0.5 * np.eye(n)
+        T[0, 0] = bad
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            spectral_radius(T)
+
+    def test_stationary_covariance_rejects_a_map_holding_nan(self):
+        amap = step_affine_map("uld_klmc", [[1.0]], 0.0, 2.0, 0.1)
+        T = amap.T.copy()
+        T[0, 0] = math.nan
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            discrete_stationary_covariance(dataclasses.replace(amap, T=T, modes=None))
 
 
 class TestDemo2:

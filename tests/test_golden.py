@@ -118,3 +118,59 @@ def test_three_dimensional_bytes(tmp_path, capsys, name, doc, workers):
     code, err = run(capsys, config, out_dir, workers)
     assert code == 0, err
     assert {file: sha256(out_dir / file) for file in GOLDEN[name]} == GOLDEN[name]
+
+
+# one long chain per kind through ``hfhr sample``: a d = 3 state stepped
+# 2,000 times on a non-quadratic potential, every state printed
+SAMPLE_ARGS = (
+    "--potential", "coupled_logcosh", "--param", "d=3", "--param", "shift=1.0",
+    "--alpha", "0.5", "--gamma", "2.0", "--step", "0.1", "--steps", "2000",
+    "--seed", "17", "--chain-index", "3", "--q0", "0.5",
+)
+
+SAMPLE_STDOUT = {
+    "hfhr_strang": "6d3a60a501204c8cb4b82b26092f6744c0f9cdeacbe2065dcd5d4e8750d8af80",
+    "uld_klmc": "abd75b2da13f70b9e8cb318813472590cc4a4ee6ef6dff68a5ac992c4151e713",
+    "ula": "b0c8df52f19792f4a010613c6b26d43c498691e1a532ed14854eedebcad88c2b",
+    "hfhr_em": "ba0cf9023d67d302d411b7414f34fc6d087147228954ec7e73e46f110d8e5950",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLE_STDOUT))
+def test_sample_stdout_bytes(capsys, kind):
+    code = main(["sample", "--kind", kind, *SAMPLE_ARGS])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_STDOUT[kind]
+
+
+# chi2_hist keeps every sample: a random start on 2,500 chains stacks the
+# two full blocks and leaves the ragged 500 alone
+CHI2_RANDOM_START = {
+    "potential": {"name": "perturbed"},
+    "sampler": [
+        {"id": "uld", "kind": "uld_klmc", "gamma": 2.0, "step": 0.05},
+        {"id": "strang", "kind": "hfhr_strang", "alpha": 0.5, "gamma": 2.0, "step": 0.05},
+    ],
+    "chains": 2500,
+    "steps": 62,
+    "record_every": 10,
+    "seed": 23,
+    "metric": "chi2_hist",
+    "init": {"q": 0.5, "p": 0.0, "q_std": 0.5, "p_std": 0.25},
+}
+
+GOLDEN["chi2_random_start"] = {
+    "results.csv": "28f1cca1356367d6bd0b07ff51a2e68ec114af4e2afb99700020da172d27cc71",
+    "results.svg": "145c4ccd4eabf7472bb9613289c0d1cedee9e71b5c5697f7ef3df6ebc567039b",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chi2_random_start_bytes(tmp_path, capsys, workers):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(CHI2_RANDOM_START))
+    out_dir = tmp_path / "out"
+    code, err = run(capsys, config, out_dir, workers)
+    assert code == 0, err
+    assert {name: sha256(out_dir / name) for name in GOLDEN["chi2_random_start"]} == GOLDEN["chi2_random_start"]

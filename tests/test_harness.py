@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import re
+import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -23,6 +25,7 @@ from hfhr.metrics import w2_gaussian
 from hfhr.potentials import builtin_potential
 from hfhr.rng import RandomSource
 from hfhr.samplers import KINDS, ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
+from test_golden import RAGGED_DIVERGING
 
 
 def minimal_doc(**overrides):
@@ -647,23 +650,44 @@ class TestStackedBlocks:
         assert harness._groups([1000] * 12, 10) == [list(range(10)), [10, 11]]
         assert harness._groups([1000] * 3, 1000) == [[0], [1], [2]]
 
-    def test_stacked_draws_put_each_block_stream_in_its_rows(self):
-        draws = harness._StackedDraws([RandomSource(3, b) for b in (5, 6, 7)], 4)
-        stacked = [draws.normals((2, 12, 3)), draws.normals((12, 3))]
+    @pytest.mark.parametrize("helpers", [0, 1, 2])
+    def test_group_noise_puts_each_block_stream_in_its_slice(self, helpers):
+        # six steps: with helpers, a chunk of four and a last chunk of two
+        noise = harness._GroupNoise([RandomSource(3, b) for b in (5, 6, 7)], 2, 4, 3, 6, helpers)
+        try:
+            slabs = [noise.normals((2, 3, 4, 3)).copy() for _ in range(6)]
+        finally:
+            noise.close()
         for i, b in enumerate((5, 6, 7)):
             alone = RandomSource(3, b)
-            assert stacked[0][:, 4 * i:4 * (i + 1)].tobytes() == alone.normals((2, 4, 3)).tobytes()
-            assert stacked[1][4 * i:4 * (i + 1)].tobytes() == alone.normals((4, 3)).tobytes()
+            for slab in slabs:
+                assert slab[:, i].tobytes() == alone.normals((2, 4, 3)).tobytes()
 
-    def test_one_block_gets_its_draw_without_a_copy(self):
-        drawn = []
+    def test_without_helpers_each_step_is_drawn_in_place_into_one_buffer(self):
+        outs = []
 
         class Source:
-            def normals(self, shape):
-                drawn.append(np.zeros(shape))
-                return drawn[-1]
+            def normals(self, shape, out=None):
+                assert out is not None and out.shape == shape
+                outs.append(out)
+                out[...] = len(outs)
+                return out
 
-        assert harness._StackedDraws([Source()], 4).normals((2, 4, 3)) is drawn[-1]
+        noise = harness._GroupNoise([Source(), Source()], 5, 4, 1, 3)
+        slabs, firsts = [], []
+        for _ in range(3):
+            slabs.append(noise.normals((5, 2, 4, 1)))
+            firsts.append(slabs[-1][0, :, 0, 0].tolist())
+        noise.close()
+        assert firsts == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert all(np.shares_memory(slab, slabs[0]) for slab in slabs)
+        assert len(outs) == 6 and all(np.shares_memory(out, slabs[0]) for out in outs)
+
+    def test_group_noise_rejects_a_request_of_another_shape(self):
+        noise = harness._GroupNoise([RandomSource(3, 5)], 2, 4, 3, 6)
+        with pytest.raises(ValueError, match=r"shape \(2, 1, 4, 3\), not \(2, 4, 3\)"):
+            noise.normals((2, 4, 3))
+        noise.close()
 
     @pytest.mark.parametrize("name", sorted(SMALL_POTENTIALS))
     def test_every_potential_and_kind_matches_blocks_run_alone(self, name):
@@ -1062,3 +1086,116 @@ class TestSvg:
         series = series_from({"a": [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]})
         with pytest.raises(ValueError, match="style"):
             write_svg_plot(series, "polar", str(tmp_path / "x.svg"))
+
+
+class Fills(list):
+    """In-place noise fills as (thread name, live threads); ``fault(call)``, if set, may raise in one."""
+
+    fault = None
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    seen = Fills()
+    original = RandomSource.normals
+
+    def recording(self, shape, out=None):
+        if out is not None:
+            seen.append((threading.current_thread().name, threading.active_count()))
+            if seen.fault is not None:
+                seen.fault(len(seen))
+        return original(self, shape, out=out)
+
+    monkeypatch.setattr(RandomSource, "normals", recording)
+    return seen
+
+
+class HelperFault(Exception):
+    pass
+
+
+class TestNoiseHelpers:
+    """run_experiment at one worker draws noise on at most two helper threads, joined on every exit."""
+
+    def helper_fills(self, fills):
+        return [name for name, _ in fills if name.startswith("hfhr-noise")]
+
+    def test_a_clean_run_joins_its_helpers(self, fills):
+        before = threading.active_count()
+        doc = minimal_doc(chains=2500, steps=9, record_every=3)
+        del doc["horizon"]
+        series = run_experiment(parse_config(json.dumps(doc)))
+        assert series.diverged == {"hfhr": None}
+        assert threading.active_count() == before
+        # two helpers for the stacked pair of blocks, one for the ragged block
+        assert set(self.helper_fills(fills)) == {"hfhr-noise-0", "hfhr-noise-1"}
+        assert max(count for _, count in fills) <= before + 2
+
+    def test_a_diverging_run_joins_its_helpers(self, fills):
+        before = threading.active_count()
+        series = run_experiment(parse_config(json.dumps(RAGGED_DIVERGING)))
+        assert series.diverged["blowup"] == 251
+        assert self.helper_fills(fills)
+        assert threading.active_count() == before
+
+    def test_a_gradient_that_raises_joins_the_helpers(self, monkeypatch, fills):
+        def fault(calls, g):
+            if calls == 5:
+                raise HelperFault("gradient")
+
+        counting_grad(monkeypatch, {"calls": 0, "rows": 0}, fault)
+        before = threading.active_count()
+        doc = minimal_doc(chains=2000, steps=20, record_every=1)
+        del doc["horizon"]
+        with pytest.raises(HelperFault, match="gradient"):
+            run_experiment(parse_config(json.dumps(doc)))
+        assert self.helper_fills(fills)
+        assert threading.active_count() == before
+
+    def test_a_fill_that_raises_in_a_helper_reaches_the_caller(self, fills):
+        def fault(call):
+            if call == 3 and threading.current_thread().name.startswith("hfhr-noise"):
+                raise HelperFault("fill")
+
+        fills.fault = fault
+        before = threading.active_count()
+        doc = minimal_doc(chains=2000, steps=40, record_every=1)
+        del doc["horizon"]
+        with pytest.raises(HelperFault, match="fill"):
+            run_experiment(parse_config(json.dumps(doc)))
+        assert threading.active_count() == before
+
+    def test_helpers_under_a_short_switch_interval_hand_each_step_its_own_numbers(self):
+        # a helper that refilled a buffer the kernel still read, or a chunk
+        # handed over before its fill ended, would put another step's numbers
+        # in a slab; 101 steps are 25 chunks of four and a last one of one
+        slabs = []
+
+        def steps():
+            noise = harness._GroupNoise([RandomSource(9, b) for b in range(5)], 5, 3, 2, 101, 2)
+            try:
+                slabs.extend(noise.normals((5, 5, 3, 2)).copy() for _ in range(101))
+            finally:
+                noise.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=steps)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(slabs) == 101
+        for b in range(5):
+            alone = RandomSource(9, b).normals((101, 5, 3, 2))
+            assert np.stack(slabs)[:, :, b].tobytes() == alone.tobytes()
+
+    def test_no_helper_on_the_pool_or_outside_run_experiment(self, fills):
+        doc = minimal_doc(chains=2000, steps=9, record_every=3)
+        del doc["horizon"]
+        spec = parse_config(json.dumps(doc))
+        run_experiment(spec, workers=2)
+        config = spec.samplers[0][1]
+        harness._run_group(spec, spec.model(), config, 9, range(0, 10, 3), [0, 1], 1000, False)
+        assert fills and not self.helper_fills(fills)

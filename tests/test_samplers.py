@@ -440,6 +440,25 @@ class TestRegistry:
             np.testing.assert_array_equal(a.q, b.q)
             np.testing.assert_array_equal(a.p, b.p)
 
+    def test_each_step_draws_one_slab_of_its_kinds_draws(self):
+        class Recording:
+            def __init__(self):
+                self.source, self.shapes = RandomSource(5, 0), []
+
+            def normals(self, shape):
+                self.shapes.append(tuple(shape))
+                return self.source.normals(shape)
+
+        assert {kind: kernel.draws for kind, kernel in KERNELS.items()} == {
+            "hfhr_strang": 5, "uld_klmc": 2, "ula": 1, "hfhr_em": 2,
+        }
+        model = builtin_potential("quadratic_iso", m=1.0, d=2)
+        state = ChainState(q=np.zeros((3, 2)), p=np.zeros((3, 2)))
+        for kind in KINDS:
+            rng = Recording()
+            make_stepper(model, SamplerConfig(kind=kind, step=0.2, gamma=2.0, alpha=0.5))(state, rng)
+            assert rng.shapes == [(KERNELS[kind].draws, 3, 2)], kind
+
     def test_public_step_rejects_other_kinds(self):
         config = SamplerConfig(kind="ula", step=0.1)
         state = ChainState(q=np.array([1.0]), p=np.array([0.0]))
