@@ -26,7 +26,7 @@ import os
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, suppress
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -381,14 +381,14 @@ def _groups(sizes: list, dim: int) -> list:
     return groups
 
 
-# steps of noise a chunk holds when helper threads draw ahead, cut so that
+# steps of noise a chunk holds when a helper thread draws ahead, cut so that
 # steps x coordinates stays within _STACK_COORDS: two buffers of 4 steps of
 # hfhr_strang's 5 normals on 10 x 1,000 d = 1 chains take 3.2 MB
 _CHUNK_STEPS = 4
 
 # helper threads a group may start to draw its noise ahead of the kernel.
-# run_experiment sets 2 while it steps its groups one by one on the calling
-# thread; with a pool of workers the CPUs are busy already
+# run_experiment sets 1 while it steps its groups on the calling thread,
+# which fills what the helper has not reached; a pool keeps the CPUs busy
 _NOISE_HELPERS = contextvars.ContextVar("hfhr_noise_helpers", default=0)
 
 
@@ -414,13 +414,14 @@ class _GroupNoise:
     chunk reads the view ``buf[:, j].swapaxes(0, 1)``, shape
     (draws, B, n, d); the last chunk holds only the steps left.
 
-    With ``helpers`` > 0, that many threads (at most one per block), each
-    owning a fixed share of the blocks, fill the next chunk into the second
-    of two buffers while the kernel steps the current one.  Two semaphores
-    per helper pass the buffers back and forth, so a helper never waits for
-    the caller to hand it work.  A fill that raises in a helper is raised in
-    the caller.  ``close`` stops and joins the helpers; without helpers the
-    caller fills one buffer of one step in place before each step.
+    Fill f, block f % B of chunk f // B, is claimed in that order by the
+    first thread to ask.  With ``helpers`` > 0, that many threads (at most
+    one per block) claim the fills of the chunk after the kernel's, into the
+    second of two buffers; the caller, on reaching a chunk, fills what they
+    have not claimed.  No fill of chunk c + 1 starts before every fill of
+    chunk c has ended, so each block draws its chunks in order.  A helper's
+    exception is raised in the caller, and ``close`` joins the helpers.
+    Without helpers a chunk is one step, drawn into one buffer.
     """
 
     def __init__(self, sources: list, draws: int, n: int, dim: int, steps: int, helpers: int = 0):
@@ -431,74 +432,76 @@ class _GroupNoise:
         self._shape = (draws, blocks, n, dim)
         self._bufs = [_mapped_empty((blocks, chunk, draws, n, dim)) for _ in range(2 if helpers else 1)]
         self._chunk = chunk
-        self._next_chunk = 0
-        self._buf = self._bufs[0]
         self._used = self._filled = 0  # steps of the current chunk taken, and held
-        helpers = min(helpers, blocks)
-        self._error = None
-        self._stop = False
-        self._free = [threading.Semaphore(len(self._bufs)) for _ in range(helpers)]
-        self._full = [threading.Semaphore(0) for _ in range(helpers)]
+        self._claimed = self._ended = 0  # fills claimed, and fills ended
+        self._reading = -1  # the chunk the kernel steps: no fill may take its buffer
+        self._turn = threading.Condition()
+        self._error, self._stop = None, False  # a helper's exception, and close's call to stop
         self._threads = []
         try:
-            for h in range(helpers):
-                share = range(h * blocks // helpers, (h + 1) * blocks // helpers)
-                thread = threading.Thread(target=self._helper, args=(h, share), name=f"hfhr-noise-{h}", daemon=True)
+            for h in range(min(helpers, blocks)):
+                thread = threading.Thread(target=self._helper, name=f"hfhr-noise-{h}", daemon=True)
                 thread.start()
                 self._threads.append(thread)
         except BaseException:  # a thread that cannot start: stop the ones that did
             self.close()
             raise
 
-    def _fill(self, c: int, blocks) -> None:
-        """Chunk c's normals for ``blocks``, drawn into their buffer in place."""
-        buf = self._bufs[c % len(self._bufs)]
-        m = min(self._chunk, self._steps - c * self._chunk)
-        for b in blocks:
-            self._sources[b].normals((m,) + buf.shape[2:], out=buf[b, :m])
-
-    def _helper(self, h: int, blocks) -> None:
-        try:
-            for c in range(-(-self._steps // self._chunk)):
-                self._free[h].acquire()
-                if self._stop:
+    def _draw(self, ready, done) -> None:
+        """Claim the next fill once ``ready()`` and draw it into its buffer in place, until ``done()``."""
+        fill = None
+        while True:
+            with self._turn:
+                if fill is not None:
+                    self._ended += 1
+                    if self._ended % len(self._sources) == 0:  # a chunk drawn: the only end a thread waits for
+                        self._turn.notify_all()
+                self._turn.wait_for(lambda: done() or ready())
+                if done():
                     return
-                self._fill(c, blocks)
-                self._full[h].release()
+                fill = self._claimed
+                self._claimed += 1
+            c, b = divmod(fill, len(self._sources))
+            out = self._bufs[c % len(self._bufs)][b, : min(self._chunk, self._steps - c * self._chunk)]
+            self._sources[b].normals(out.shape, out=out)
+
+    def _helper(self) -> None:
+        def ready():  # the next fill's chunk exists, its buffer is free, and every fill before the chunk has ended
+            c = self._claimed // len(self._sources)
+            return c * self._chunk < self._steps and c <= self._reading + 1 and self._ended >= c * len(self._sources)
+
+        try:
+            self._draw(ready, lambda: self._stop)
         except BaseException as exc:
-            self._error = exc
-            self._full[h].release()
+            with self._turn:
+                self._error = exc
+                self._turn.notify_all()
 
     def _take(self) -> None:
-        """Make the next chunk current: wait for the helpers' fill, or fill it here."""
-        c = self._next_chunk
-        if self._threads:
-            if c > 0:  # every step of the last chunk has returned
-                for free in self._free:
-                    free.release()
-            for full in self._full:
-                full.acquire()
-            if self._error is not None:
-                raise self._error
-        else:
-            self._fill(c, range(len(self._sources)))
+        """Make the next chunk current: fill what no helper has claimed, and wait for the rest."""
+        c = self._reading + 1
+        end = (c + 1) * len(self._sources)
+        with self._turn:
+            self._reading = c  # the kernel has left chunk c - 1: its buffer is free
+            self._turn.notify_all()
+        self._draw(lambda: self._claimed < end, lambda: self._error is not None or self._ended >= end)
+        if self._error is not None:
+            raise self._error
         self._buf = self._bufs[c % len(self._bufs)]
         self._used, self._filled = 0, min(self._chunk, self._steps - c * self._chunk)
-        self._next_chunk = c + 1
 
     def normals(self, shape) -> np.ndarray:
         if tuple(shape) != self._shape:
             raise ValueError(f"the group's noise has shape {self._shape}, not {tuple(shape)}")
         if self._used == self._filled:
             self._take()
-        j = self._used
-        self._used = j + 1
-        return self._buf[:, j].swapaxes(0, 1)
+        self._used += 1
+        return self._buf[:, self._used - 1].swapaxes(0, 1)
 
     def close(self) -> None:
-        self._stop = True
-        for free in self._free:
-            free.release()
+        with self._turn:
+            self._stop = True
+            self._turn.notify_all()
         for thread in self._threads:
             thread.join()
 
@@ -755,7 +758,7 @@ def run_experiment(
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 group_records, stops = zip(*pool.map(task, groups))
         else:
-            helpers = _NOISE_HELPERS.set(2)
+            helpers = _NOISE_HELPERS.set(1)
             try:
                 group_records, stops = zip(*map(task, groups))
             finally:
@@ -779,7 +782,14 @@ def run_experiment(
                 ]
                 stderrs = [None] * records
             else:
-                values, stderrs = _moment_values(spec, reference, group_records, records, model.dim)
+                try:
+                    values, stderrs = _moment_values(spec, reference, group_records, records, model.dim)
+                except ValueError as exc:  # the raw moments lost a covariance to cancellation
+                    with suppress(ValueError):  # i stops at the first record that fails alone
+                        for i in range(records):
+                            _moment_values(spec, reference, [r[i : i + 1] for r in group_records], 1, model.dim)
+                    k = min(i * spec.record_every, steps)
+                    raise ConfigError(f"sampler '{config_id}': {exc} at record step {k}; likely cause: init.q far from 0 against init.q_std") from exc
         for i, (value, stderr) in enumerate(zip(values, stderrs)):
             k = min(i * spec.record_every, steps)
             flag = "diverged" if (first_bad is not None and i == records - 1) else ""

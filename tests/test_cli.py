@@ -210,6 +210,26 @@ class TestExperiment:
         assert not list((out_dir / "cache").glob("*"))
         assert not (out_dir / "results.csv").exists()
 
+    def test_covariance_lost_to_raw_moments_names_sampler_step_and_init(self, tmp_path, capsys):
+        # |mean| 1e6 over a spread of 1e-7: the raw second moments cancel
+        # below the spread, and the record's covariance is not PSD
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 2}},
+            "sampler": [{"id": "a", "kind": "ula", "step": 0.1}],
+            "steps": 2,
+            "chains": 2000,
+            "init": {"q": 1e6, "q_std": 1e-7},
+        }
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert err == (
+            "error: sampler 'a': covariance is not positive semi-definite at record step 0; "
+            "likely cause: init.q far from 0 against init.q_std\n"
+        )
+        assert "Traceback" not in out + err
+
     def test_single_chain_is_config_error(self, tmp_path, capsys):
         doc = {
             "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -1115,21 +1116,27 @@ class HelperFault(Exception):
 
 
 class TestNoiseHelpers:
-    """run_experiment at one worker draws noise on at most two helper threads, joined on every exit."""
+    """run_experiment at one worker draws noise on one helper thread per group, joined on every exit."""
 
     def helper_fills(self, fills):
         return [name for name, _ in fills if name.startswith("hfhr-noise")]
 
     def test_a_clean_run_joins_its_helpers(self, fills):
+        def slow_helper(call):  # the stepping thread then reaches chunks the helper has not drawn
+            if threading.current_thread().name.startswith("hfhr-noise"):
+                time.sleep(0.01)
+
+        fills.fault = slow_helper
         before = threading.active_count()
         doc = minimal_doc(chains=2500, steps=9, record_every=3)
         del doc["horizon"]
         series = run_experiment(parse_config(json.dumps(doc)))
         assert series.diverged == {"hfhr": None}
         assert threading.active_count() == before
-        # two helpers for the stacked pair of blocks, one for the ragged block
-        assert set(self.helper_fills(fills)) == {"hfhr-noise-0", "hfhr-noise-1"}
-        assert max(count for _, count in fills) <= before + 2
+        # one helper for the stacked pair of blocks, one for the ragged
+        # block, and the stepping thread fills what they have not claimed
+        assert {name for name, _ in fills} == {"hfhr-noise-0", "MainThread"}
+        assert max(count for _, count in fills) <= before + 1
 
     def test_a_diverging_run_joins_its_helpers(self, fills):
         before = threading.active_count()
@@ -1153,8 +1160,8 @@ class TestNoiseHelpers:
         assert threading.active_count() == before
 
     def test_a_fill_that_raises_in_a_helper_reaches_the_caller(self, fills):
-        def fault(call):
-            if call == 3 and threading.current_thread().name.startswith("hfhr-noise"):
+        def fault(call):  # the helper's first fill from the third on: the stepping thread fills some too
+            if call >= 3 and threading.current_thread().name.startswith("hfhr-noise"):
                 raise HelperFault("fill")
 
         fills.fault = fault
@@ -1189,6 +1196,41 @@ class TestNoiseHelpers:
         assert not runner.is_alive() and len(slabs) == 101
         for b in range(5):
             alone = RandomSource(9, b).normals((101, 5, 3, 2))
+            assert np.stack(slabs)[:, :, b].tobytes() == alone.tobytes()
+
+    def test_a_block_draws_its_chunks_in_order_when_the_helper_runs_ahead(self, monkeypatch):
+        # the stepping thread sleeps in each fill it claims, so the helper
+        # reaches the next chunk while a block's fill of this one is still
+        # to come; drawing it first would give the block another step's
+        # numbers.  101 steps are 25 chunks of four and a last one of one
+        slabs = []
+
+        def steps():
+            noise = harness._GroupNoise([RandomSource(9, b) for b in range(5)], 5, 40, 2, 101, 1)
+            try:
+                slabs.extend(noise.normals((5, 5, 40, 2)).copy() for _ in range(101))
+            finally:
+                noise.close()
+
+        runner = threading.Thread(target=steps, daemon=True)
+        original = RandomSource.normals
+
+        def normals(self, shape, out=None):
+            if threading.current_thread() is runner:
+                time.sleep(0.002)
+            return original(self, shape, out=out)
+
+        monkeypatch.setattr(RandomSource, "normals", normals)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(slabs) == 101
+        for b in range(5):
+            alone = original(RandomSource(9, b), (101, 5, 40, 2))
             assert np.stack(slabs)[:, :, b].tobytes() == alone.tobytes()
 
     def test_no_helper_on_the_pool_or_outside_run_experiment(self, fills):
