@@ -81,8 +81,15 @@ class AffineGaussianMap:
         return self.T.shape[0]
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number")
+
+
 def theory_constants(L: float, m: float, alpha: float, gamma: float) -> TheoryConstants:
     """Evaluate the four transformed-dynamics constants verbatim."""
+    _require_finite(L=L, m=m, alpha=alpha, gamma=gamma)
     if not (L >= m >= 0):
         raise ValueError("require L >= m >= 0")
     if gamma <= 0 or alpha < 0:
@@ -109,6 +116,7 @@ def theory_constants(L: float, m: float, alpha: float, gamma: float) -> TheoryCo
 
 def rate_bound_chi2_poincare(alpha: float, gamma: float, lambda_pi: float) -> float:
     """Exponential chi^2 rate 2 min{lambda_PI, 1} min{alpha, gamma}."""
+    _require_finite(alpha=alpha, gamma=gamma, lambda_pi=lambda_pi)
     if alpha <= 0 or gamma <= 0 or lambda_pi <= 0:
         raise ValueError("alpha, gamma and lambda_pi must be > 0")
     return 2.0 * min(lambda_pi, 1.0) * min(alpha, gamma)
@@ -133,6 +141,7 @@ def rate_bound_chi2_convex(
     alpha <= gamma/lambda - 2/gamma) are flagged, not enforced; the bound
     keeps empirical value beyond them.
     """
+    _require_finite(alpha=alpha, gamma=gamma, lambda_pi=lambda_pi)
     if gamma <= 0 or alpha < 0 or lambda_pi < 0:
         raise ValueError("require gamma > 0, alpha >= 0, lambda_pi >= 0")
     root = math.sqrt(lambda_pi)
@@ -310,9 +319,7 @@ def step_affine_map(
         or np.max(np.abs(H - H.T)) > 1e-10 * max(1.0, np.abs(H).max())
     ):
         raise ValueError("H must be finite and symmetric")
-    for name, value in (("h", h), ("gamma", gamma), ("alpha", alpha)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number")
+    _require_finite(h=h, gamma=gamma, alpha=alpha)
     if h <= 0:
         raise ValueError("h must be > 0")
     if kind != "ula" and gamma <= 0:
@@ -421,6 +428,7 @@ def hfhr_demo2_parameters(eps: float, c: float) -> AcceleratedDiscount:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    _require_finite(c=c)
     if c <= 0:
         raise ValueError("c must be > 0")
     R = math.sqrt(

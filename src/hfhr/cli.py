@@ -124,6 +124,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    if not (math.isfinite(args.gamma) and args.gamma > 0):  # h_opt divides by 1 + alpha gamma
+        raise ValueError("--gamma must be a finite number > 0")
     lines = ["# forward-Euler mean process, 1D unit quadratic", "alpha gamma h_opt radius"]
     for alpha, gamma in ((0.0, args.gamma), (args.gamma + 2.0, args.gamma)):
         h_opt = (alpha + gamma) / (2.0 * (1.0 + alpha * gamma))

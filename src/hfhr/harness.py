@@ -6,15 +6,17 @@ partials are merged in block order, so results are byte-identical for any
 worker count.
 
 Consecutive equal-size blocks of a config step as one stacked state, each
-block still on its own stream (``_run_group``); these groups are the thread
-pool's tasks.  A group stops at its first non-finite row, since a config's
-output ends at its first divergence.  A config's records are merged and
-scored as stacked arrays (``_moment_values``).
+block still on its own stream (``_run_group``).  A run opens one thread
+pool: with more than one worker the groups are its tasks, and with one its
+single thread draws each group's noise ahead of the kernel
+(``_GroupNoise``).  A group stops at its first non-finite row, since a
+config's output ends at its first divergence.  A config's records are
+merged and scored as stacked arrays (``_moment_values``).
 """
 
 from __future__ import annotations
 
-import contextvars
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -24,7 +26,7 @@ import math
 import mmap
 import os
 import tempfile
-import threading
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing, suppress
 from dataclasses import dataclass, field
@@ -381,15 +383,10 @@ def _groups(sizes: list, dim: int) -> list:
     return groups
 
 
-# steps of noise a chunk holds when a helper thread draws ahead, cut so that
+# steps of noise a chunk holds when a pool thread draws ahead, cut so that
 # steps x coordinates stays within _STACK_COORDS: two buffers of 4 steps of
 # hfhr_strang's 5 normals on 10 x 1,000 d = 1 chains take 3.2 MB
 _CHUNK_STEPS = 4
-
-# helper threads a group may start to draw its noise ahead of the kernel.
-# run_experiment sets 1 while it steps its groups on the calling thread,
-# which fills what the helper has not reached; a pool keeps the CPUs busy
-_NOISE_HELPERS = contextvars.ContextVar("hfhr_noise_helpers", default=0)
 
 
 def _mapped_empty(shape: tuple) -> np.ndarray:
@@ -414,81 +411,59 @@ class _GroupNoise:
     chunk reads the view ``buf[:, j].swapaxes(0, 1)``, shape
     (draws, B, n, d); the last chunk holds only the steps left.
 
-    Fill f, block f % B of chunk f // B, is claimed in that order by the
-    first thread to ask.  With ``helpers`` > 0, that many threads (at most
-    one per block) claim the fills of the chunk after the kernel's, into the
-    second of two buffers; the caller, on reaching a chunk, fills what they
-    have not claimed.  No fill of chunk c + 1 starts before every fill of
-    chunk c has ended, so each block draws its chunks in order.  A helper's
-    exception is raised in the caller, and ``close`` joins the helpers.
-    Without helpers a chunk is one step, drawn into one buffer.
+    A chunk's block indices wait in a deque, and every thread that fills
+    pops them in block order.  With a ``pool``, the chunk after the
+    kernel's is one Future on it, filling the second of two buffers.  On
+    reaching a chunk the caller fills the blocks left, waits for the
+    Future (which raises a pool-side exception here), and only then hands
+    the next chunk to the pool: no fill of chunk c + 1 starts before every
+    fill of chunk c has ended, so each block draws its chunks in order.
+    ``close`` empties the deque and waits for the Future.  Without a pool a
+    chunk is one step, drawn into one buffer.
     """
 
-    def __init__(self, sources: list, draws: int, n: int, dim: int, steps: int, helpers: int = 0):
+    def __init__(
+        self, sources: list, draws: int, n: int, dim: int, steps: int, pool: Optional[ThreadPoolExecutor] = None
+    ):
         blocks = len(sources)
-        chunk = min(_CHUNK_STEPS, max(1, _STACK_COORDS // (blocks * n * dim)), steps) if helpers else 1
+        chunk = min(_CHUNK_STEPS, max(1, _STACK_COORDS // (blocks * n * dim)), steps) if pool else 1
         self._sources = sources
         self._steps = steps
         self._shape = (draws, blocks, n, dim)
-        self._bufs = [_mapped_empty((blocks, chunk, draws, n, dim)) for _ in range(2 if helpers else 1)]
+        self._bufs = [_mapped_empty((blocks, chunk, draws, n, dim)) for _ in range(2 if pool else 1)]
         self._chunk = chunk
+        self._pool = pool
         self._used = self._filled = 0  # steps of the current chunk taken, and held
-        self._claimed = self._ended = 0  # fills claimed, and fills ended
-        self._reading = -1  # the chunk the kernel steps: no fill may take its buffer
-        self._turn = threading.Condition()
-        self._error, self._stop = None, False  # a helper's exception, and close's call to stop
-        self._threads = []
-        try:
-            for h in range(min(helpers, blocks)):
-                thread = threading.Thread(target=self._helper, name=f"hfhr-noise-{h}", daemon=True)
-                thread.start()
-                self._threads.append(thread)
-        except BaseException:  # a thread that cannot start: stop the ones that did
-            self.close()
-            raise
+        self._next = 0  # the chunk the kernel reaches next
+        self._blocks, self._future = self._hand_over(0)
 
-    def _draw(self, ready, done) -> None:
-        """Claim the next fill once ``ready()`` and draw it into its buffer in place, until ``done()``."""
-        fill = None
+    def _hand_over(self, c: int) -> tuple:
+        """Chunk c's blocks to fill, and the pool's Future that fills them, if there is a pool and a chunk c."""
+        blocks = collections.deque(range(len(self._sources)))
+        if self._pool is None or c * self._chunk >= self._steps:
+            return blocks, None
+        return blocks, self._pool.submit(self._fill, c, blocks)
+
+    def _fill(self, c: int, blocks: collections.deque) -> None:
+        """Pop chunk c's blocks and draw each into its buffer in place, until none is left."""
+        out = self._bufs[c % len(self._bufs)][:, : min(self._chunk, self._steps - c * self._chunk)]
         while True:
-            with self._turn:
-                if fill is not None:
-                    self._ended += 1
-                    if self._ended % len(self._sources) == 0:  # a chunk drawn: the only end a thread waits for
-                        self._turn.notify_all()
-                self._turn.wait_for(lambda: done() or ready())
-                if done():
-                    return
-                fill = self._claimed
-                self._claimed += 1
-            c, b = divmod(fill, len(self._sources))
-            out = self._bufs[c % len(self._bufs)][b, : min(self._chunk, self._steps - c * self._chunk)]
-            self._sources[b].normals(out.shape, out=out)
-
-    def _helper(self) -> None:
-        def ready():  # the next fill's chunk exists, its buffer is free, and every fill before the chunk has ended
-            c = self._claimed // len(self._sources)
-            return c * self._chunk < self._steps and c <= self._reading + 1 and self._ended >= c * len(self._sources)
-
-        try:
-            self._draw(ready, lambda: self._stop)
-        except BaseException as exc:
-            with self._turn:
-                self._error = exc
-                self._turn.notify_all()
+            try:
+                b = blocks.popleft()
+            except IndexError:
+                return
+            self._sources[b].normals(out.shape[1:], out=out[b])
 
     def _take(self) -> None:
-        """Make the next chunk current: fill what no helper has claimed, and wait for the rest."""
-        c = self._reading + 1
-        end = (c + 1) * len(self._sources)
-        with self._turn:
-            self._reading = c  # the kernel has left chunk c - 1: its buffer is free
-            self._turn.notify_all()
-        self._draw(lambda: self._claimed < end, lambda: self._error is not None or self._ended >= end)
-        if self._error is not None:
-            raise self._error
+        """Make the next chunk current, and hand the one after it to the pool."""
+        c = self._next
+        self._fill(c, self._blocks)
+        if self._future is not None:
+            self._future.result()
         self._buf = self._bufs[c % len(self._bufs)]
         self._used, self._filled = 0, min(self._chunk, self._steps - c * self._chunk)
+        self._next = c + 1  # the kernel has left chunk c - 1: its buffer is free
+        self._blocks, self._future = self._hand_over(c + 1)
 
     def normals(self, shape) -> np.ndarray:
         if tuple(shape) != self._shape:
@@ -499,11 +474,11 @@ class _GroupNoise:
         return self._buf[:, self._used - 1].swapaxes(0, 1)
 
     def close(self) -> None:
-        with self._turn:
-            self._stop = True
-            self._turn.notify_all()
-        for thread in self._threads:
-            thread.join()
+        # no fill starts, and the one under way is waited for; its exception,
+        # if any, is dropped, as no step reads the chunk
+        self._blocks.clear()
+        if self._future is not None:
+            futures.wait([self._future])
 
 
 def _run_group(
@@ -515,17 +490,18 @@ def _run_group(
     streams: list,
     n: int,
     keep_samples: bool,
+    noise_pool: Optional[ThreadPoolExecutor] = None,
 ) -> tuple:
     """Step equal-size blocks as one (B, n, d) state: (records, diverged_at).
 
     Block b draws only from ``RandomSource(spec.seed, streams[b])``, so its
     rows hold the numbers of the block run alone.  Its noise comes from a
-    ``_GroupNoise``, drawn ahead by as many helper threads as
-    ``_NOISE_HELPERS`` allows.  The gradient sees the state as its
-    (B * n, d) rows, the shape each reduction in it has alone.  Step k is
-    recorded when it is in ``record_steps`` (a range tests that by
-    arithmetic) or is the last step; a record is the blocks' stacked
-    ``(sum_q (B, d), sum_qq (B, d, d))``, or the group's samples as
+    ``_GroupNoise``, drawn ahead on ``noise_pool`` when one is given, and
+    one step at a time on the calling thread when not.  The gradient sees
+    the state as its (B * n, d) rows, the shape each reduction in it has
+    alone.  Step k is recorded when it is in ``record_steps`` (a range
+    tests that by arithmetic) or is the last step; a record is the blocks'
+    stacked ``(sum_q (B, d), sum_qq (B, d, d))``, or the group's samples as
     (B * n, d) rows.  The group stops at its first non-finite row,
     ``diverged_at``: a config's output ends before its first divergence, so
     no later step could reach it.
@@ -551,7 +527,7 @@ def _run_group(
             raise ConfigError(f"chains and potential.params.d are too large for a block of {n} chains: {exc}") from exc
         state = ChainState(q=state.q.reshape(len(sources), n, dim), p=state.p.reshape(len(sources), n, dim))
         records = [snapshot(state.q)]  # step 0 is always a record step
-    noise = _GroupNoise(sources, KERNELS[config.kind].draws, n, dim, steps, _NOISE_HELPERS.get())
+    noise = _GroupNoise(sources, KERNELS[config.kind].draws, n, dim, steps, noise_pool)
     try:
         for k, state in iterate_chain(state, make_stepper(rows_model, config), steps, noise):
             if k in record_steps or k == steps:
@@ -734,75 +710,77 @@ def run_experiment(
     grad_evals = {}
     diverged = {}
     n_blocks = (spec.chains + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for c_idx, (config_id, config) in enumerate(spec.samplers):
-        steps = spec.steps_for(config)
-        record_steps = range(0, steps + 1, spec.record_every)  # and the last step
-        sizes = [
-            min(BLOCK_SIZE, spec.chains - b * BLOCK_SIZE) for b in range(n_blocks)
-        ]
+    sizes = [min(BLOCK_SIZE, spec.chains - b * BLOCK_SIZE) for b in range(n_blocks)]
+    groups = _groups(sizes, model.dim)
+    # one executor per run: with workers > 1 its threads step the groups;
+    # with one, its single thread draws each group's noise ahead of the
+    # kernel while the calling thread steps the groups in turn
+    if workers > 1:
+        pool = ThreadPoolExecutor(max_workers=workers)
+    else:
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hfhr-noise")
+    with pool:
+        for c_idx, (config_id, config) in enumerate(spec.samplers):
+            steps = spec.steps_for(config)
+            record_steps = range(0, steps + 1, spec.record_every)  # and the last step
 
-        def task(group):
-            return _run_group(
-                spec,
-                model,
-                config,
-                steps,
-                record_steps,
-                streams=[c_idx * _CONFIG_STREAMS + b for b in group],
-                n=sizes[group[0]],
-                keep_samples=keep_samples,
-            )
-
-        groups = _groups(sizes, model.dim)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                group_records, stops = zip(*pool.map(task, groups))
-        else:
-            helpers = _NOISE_HELPERS.set(1)
-            try:
-                group_records, stops = zip(*map(task, groups))
-            finally:
-                _NOISE_HELPERS.reset(helpers)
-        # a group is charged its rows times the steps it ran
-        grad_evals[config_id] = sum(
-            sizes[group[0]] * len(group) * (steps if stop is None else stop) for group, stop in zip(groups, stops)
-        )
-        first_bad = min((stop for stop in stops if stop is not None), default=None)
-        diverged[config_id] = first_bad
-
-        # merge, in block order, the records that every group holds: those
-        # before the first divergence. Snapshots just before a blow-up can
-        # overflow the metric; the row is flagged, so an inf value is fine
-        records = min(len(r) for r in group_records)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if keep_samples:
-                values = [
-                    _chi2_value(spec, reference, np.concatenate([r[i] for r in group_records]).ravel())
-                    for i in range(records)
-                ]
-                stderrs = [None] * records
-            else:
-                try:
-                    values, stderrs = _moment_values(spec, reference, group_records, records, model.dim)
-                except ValueError as exc:  # the raw moments lost a covariance to cancellation
-                    with suppress(ValueError):  # i stops at the first record that fails alone
-                        for i in range(records):
-                            _moment_values(spec, reference, [r[i : i + 1] for r in group_records], 1, model.dim)
-                    k = min(i * spec.record_every, steps)
-                    raise ConfigError(f"sampler '{config_id}': {exc} at record step {k}; likely cause: init.q far from 0 against init.q_std") from exc
-        for i, (value, stderr) in enumerate(zip(values, stderrs)):
-            k = min(i * spec.record_every, steps)
-            flag = "diverged" if (first_bad is not None and i == records - 1) else ""
-            rows.append(
-                ResultRow(
-                    config_id=config_id,
-                    step=k,
-                    time=k * config.step,
-                    value=float(value),
-                    stderr=stderr,
-                    flag=flag,
+            def task(group, noise_pool=None):
+                return _run_group(
+                    spec,
+                    model,
+                    config,
+                    steps,
+                    record_steps,
+                    streams=[c_idx * _CONFIG_STREAMS + b for b in group],
+                    n=sizes[group[0]],
+                    keep_samples=keep_samples,
+                    noise_pool=noise_pool,
                 )
+
+            if workers > 1:
+                group_records, stops = zip(*pool.map(task, groups))
+            else:
+                group_records, stops = zip(*(task(group, pool) for group in groups))
+            # a group is charged its rows times the steps it ran
+            grad_evals[config_id] = sum(
+                sizes[group[0]] * len(group) * (steps if stop is None else stop) for group, stop in zip(groups, stops)
             )
+            first_bad = min((stop for stop in stops if stop is not None), default=None)
+            diverged[config_id] = first_bad
+
+            # merge, in block order, the records that every group holds: those
+            # before the first divergence. Snapshots just before a blow-up can
+            # overflow the metric; the row is flagged, so an inf value is fine
+            records = min(len(r) for r in group_records)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if keep_samples:
+                    values = [
+                        _chi2_value(spec, reference, np.concatenate([r[i] for r in group_records]).ravel())
+                        for i in range(records)
+                    ]
+                    stderrs = [None] * records
+                else:
+                    try:
+                        values, stderrs = _moment_values(spec, reference, group_records, records, model.dim)
+                    except ValueError as exc:  # the raw moments lost a covariance to cancellation
+                        with suppress(ValueError):  # i stops at the first record that fails alone
+                            for i in range(records):
+                                _moment_values(spec, reference, [r[i : i + 1] for r in group_records], 1, model.dim)
+                        k = min(i * spec.record_every, steps)
+                        raise ConfigError(f"sampler '{config_id}': {exc} at record step {k}; likely cause: init.q far from 0 against init.q_std") from exc
+            for i, (value, stderr) in enumerate(zip(values, stderrs)):
+                k = min(i * spec.record_every, steps)
+                flag = "diverged" if (first_bad is not None and i == records - 1) else ""
+                rows.append(
+                    ResultRow(
+                        config_id=config_id,
+                        step=k,
+                        time=k * config.step,
+                        value=float(value),
+                        stderr=stderr,
+                        flag=flag,
+                    )
+                )
     return ResultSeries(metric=spec.metric, rows=rows, grad_evals=grad_evals, diverged=diverged)
 
 

@@ -129,6 +129,13 @@ class TestTheoryConstants:
         with pytest.raises(ValueError):
             theory_constants(1.0, 0.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["L", "m", "alpha", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_parameter_is_named(self, name, value):
+        params = {"L": 4.0, "m": 1.0, "alpha": 1.0, "gamma": 2.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
+            theory_constants(**params)
+
 
 class TestRateBounds:
     def test_poincare_examples(self):
@@ -146,6 +153,15 @@ class TestRateBounds:
         assert b.gamma_ok
         assert rate_bound_chi2_convex(1.0, 2.0, 0.0).rate == 0.0
         assert not rate_bound_chi2_convex(1.1, 2.0, 1.0).alpha_ok
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_parameter_is_named(self, value):
+        for name in ("alpha", "gamma", "lambda_pi"):
+            params = {"alpha": 1.0, "gamma": 2.0, "lambda_pi": 1.0, name: value}
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
+                rate_bound_chi2_poincare(**params)
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
+                rate_bound_chi2_convex(**params)
 
     def test_w2_examples(self):
         for L in (1.0, 4.0, 25.0):
@@ -467,6 +483,9 @@ class TestDemo2:
             hfhr_demo2_parameters(1.5, 1.0)
         with pytest.raises(ValueError):
             hfhr_demo2_parameters(0.1, -1.0)
+        for c in (math.nan, math.inf):  # NaN passed c <= 0 and gave NaN parameters
+            with pytest.raises(ValueError, match="^c must be a finite number$"):
+                hfhr_demo2_parameters(0.1, c)
 
 
 class TestGaussianPropagation:

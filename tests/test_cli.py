@@ -120,6 +120,31 @@ class TestTheory:
         assert (code, out) == (2, "")
         assert "error: alpha, gamma and lambda_pi must be > 0" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--gamma", "inf", "gamma"),
+            ("--alpha", "nan", "alpha"),
+            ("--L", "inf", "L"),
+            ("--m", "nan", "m"),
+            ("--poincare", "nan", "lambda_pi"),
+            ("--poincare", "inf", "lambda_pi"),
+        ],
+    )
+    def test_a_non_finite_flag_is_named_before_any_output(self, capsys, flag, value, name):
+        flags = {"--L": "1", "--m": "1", "--alpha": "1", "--gamma": "2", "--poincare": "1", flag: value}
+        code, out, err = run_cli(capsys, "theory", *[x for item in flags.items() for x in item])
+        assert (code, out) == (2, "")
+        assert f"error: {name} must be a finite number" in err
+
+    def test_a_non_finite_poincare_constant_without_alpha_is_named(self, capsys):
+        # alpha = 0 skips the Poincare bound: the convex bound checks it alone
+        code, out, err = run_cli(
+            capsys, "theory", "--L", "1", "--m", "1", "--alpha", "0", "--gamma", "2", "--poincare", "nan",
+        )
+        assert (code, out) == (2, "")
+        assert "error: lambda_pi must be a finite number" in err
+
 
 class TestSpectral:
     def test_tables(self, capsys):
@@ -137,6 +162,19 @@ class TestSpectral:
         code, out, err = run_cli(capsys, "spectral", "--eps", "1.5")
         assert (code, out) == (2, "")
         assert "error: eps must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
+    def test_a_gamma_that_is_not_finite_and_positive_prints_no_line(self, capsys, gamma):
+        # gamma = -1 zeroes 1 + alpha gamma, the first table's divisor
+        code, out, err = run_cli(capsys, "spectral", "--gamma", gamma)
+        assert (code, out) == (2, "")
+        assert "error: --gamma must be a finite number > 0" in err
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_a_non_finite_c_prints_no_line(self, capsys, c):
+        code, out, err = run_cli(capsys, "spectral", "--c", c)
+        assert (code, out) == (2, "")
+        assert "error: c must be a finite number" in err
 
 
 class TestExperiment:

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -415,7 +416,7 @@ class TestRunExperiment:
         class FirstGroup(Exception):
             pass
 
-        def first_group(spec, model, config, steps, record_steps, streams, n, keep_samples):
+        def first_group(spec, model, config, steps, record_steps, streams, n, keep_samples, noise_pool=None):
             raise FirstGroup(steps, record_steps)
 
         monkeypatch.setattr(harness, "_run_group", first_group)
@@ -562,8 +563,8 @@ def recorded_groups(monkeypatch):
     groups = []
     original = harness._run_group
 
-    def recording(spec, model, config, steps, record_steps, streams, n, keep_samples):
-        result = original(spec, model, config, steps, record_steps, streams, n, keep_samples)
+    def recording(spec, model, config, steps, record_steps, streams, n, keep_samples, noise_pool=None):
+        result = original(spec, model, config, steps, record_steps, streams, n, keep_samples, noise_pool)
         groups.append((config, n, list(streams), result))
         return result
 
@@ -653,12 +654,15 @@ class TestStackedBlocks:
 
     @pytest.mark.parametrize("helpers", [0, 1, 2])
     def test_group_noise_puts_each_block_stream_in_its_slice(self, helpers):
-        # six steps: with helpers, a chunk of four and a last chunk of two
-        noise = harness._GroupNoise([RandomSource(3, b) for b in (5, 6, 7)], 2, 4, 3, 6, helpers)
+        # six steps: with a pool, a chunk of four and a last chunk of two
+        pool = ThreadPoolExecutor(helpers) if helpers else None
+        noise = harness._GroupNoise([RandomSource(3, b) for b in (5, 6, 7)], 2, 4, 3, 6, pool)
         try:
             slabs = [noise.normals((2, 3, 4, 3)).copy() for _ in range(6)]
         finally:
             noise.close()
+            if pool is not None:
+                pool.shutdown()
         for i, b in enumerate((5, 6, 7)):
             alone = RandomSource(3, b)
             for slab in slabs:
@@ -1116,7 +1120,7 @@ class HelperFault(Exception):
 
 
 class TestNoiseHelpers:
-    """run_experiment at one worker draws noise on one helper thread per group, joined on every exit."""
+    """run_experiment at one worker draws noise ahead on its pool's one thread, shut down on every exit."""
 
     def helper_fills(self, fills):
         return [name for name, _ in fills if name.startswith("hfhr-noise")]
@@ -1133,9 +1137,10 @@ class TestNoiseHelpers:
         series = run_experiment(parse_config(json.dumps(doc)))
         assert series.diverged == {"hfhr": None}
         assert threading.active_count() == before
-        # one helper for the stacked pair of blocks, one for the ragged
-        # block, and the stepping thread fills what they have not claimed
-        assert {name for name, _ in fills} == {"hfhr-noise-0", "MainThread"}
+        # the run's one pool thread draws for the stacked pair of blocks and
+        # for the ragged block, and the stepping thread fills what it has not
+        # claimed
+        assert {name for name, _ in fills} == {"hfhr-noise_0", "MainThread"}
         assert max(count for _, count in fills) <= before + 1
 
     def test_a_diverging_run_joins_its_helpers(self, fills):
@@ -1172,6 +1177,74 @@ class TestNoiseHelpers:
             run_experiment(parse_config(json.dumps(doc)))
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_opens_one_executor(self, monkeypatch, workers):
+        opened = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("thread_name_prefix", ""))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Counted)
+        doc = minimal_doc(chains=2500, steps=9, record_every=3)
+        doc["sampler"].append({"id": "ula", "kind": "ula", "step": 0.1})
+        del doc["horizon"]
+        run_experiment(parse_config(json.dumps(doc)), workers=workers)
+        # with one worker the pool's only thread draws noise; with more,
+        # the pool's threads step the groups and draw nothing ahead
+        assert opened == (["hfhr-noise"] if workers == 1 else [""])
+
+    def test_a_fill_that_raises_on_the_stepping_thread_waits_for_the_pool_fill(self, fills):
+        # the stepping thread raises while the pool thread is inside a fill of
+        # the same chunk: the run must raise it only once that fill has ended
+        pool_filling = threading.Event()
+
+        def fault(call):
+            if threading.current_thread().name.startswith("hfhr-noise"):
+                pool_filling.set()
+                time.sleep(0.02)
+            elif pool_filling.wait(timeout=10):
+                raise HelperFault("stepping fill")
+
+        fills.fault = fault
+        before = threading.active_count()
+        doc = minimal_doc(chains=2000, steps=40, record_every=1)
+        del doc["horizon"]
+        with pytest.raises(HelperFault, match="stepping fill"):
+            run_experiment(parse_config(json.dumps(doc)))
+        count = len(fills)
+        assert threading.active_count() == before
+        assert {name for name, _ in fills} == {"hfhr-noise_0", "MainThread"}
+        time.sleep(0.05)
+        assert len(fills) == count
+
+    def test_close_waits_for_the_fill_under_way(self, monkeypatch):
+        # the pool thread is still drawing when the stepping thread's fill
+        # raises; close must return only after that draw has ended
+        original = RandomSource.normals
+        pool_filling, ended = threading.Event(), []
+
+        def normals(self, shape, out=None):
+            if threading.current_thread() is threading.main_thread():
+                pool_filling.wait(timeout=10)
+                raise HelperFault("stepping fill")
+            pool_filling.set()
+            time.sleep(0.05)
+            ended.append(original(self, shape, out=out))
+
+        monkeypatch.setattr(RandomSource, "normals", normals)
+        pool = ThreadPoolExecutor(1)
+        noise = harness._GroupNoise([RandomSource(9, b) for b in range(3)], 5, 4, 2, 9, pool)
+        try:
+            with pytest.raises(HelperFault, match="stepping fill"):
+                noise.normals((5, 3, 4, 2))
+        finally:
+            noise.close()
+            count = len(ended)
+            pool.shutdown()
+        assert count == 1 and len(ended) == 1
+
     def test_helpers_under_a_short_switch_interval_hand_each_step_its_own_numbers(self):
         # a helper that refilled a buffer the kernel still read, or a chunk
         # handed over before its fill ended, would put another step's numbers
@@ -1179,11 +1252,13 @@ class TestNoiseHelpers:
         slabs = []
 
         def steps():
-            noise = harness._GroupNoise([RandomSource(9, b) for b in range(5)], 5, 3, 2, 101, 2)
+            pool = ThreadPoolExecutor(2)
+            noise = harness._GroupNoise([RandomSource(9, b) for b in range(5)], 5, 3, 2, 101, pool)
             try:
                 slabs.extend(noise.normals((5, 5, 3, 2)).copy() for _ in range(101))
             finally:
                 noise.close()
+                pool.shutdown()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1206,11 +1281,13 @@ class TestNoiseHelpers:
         slabs = []
 
         def steps():
-            noise = harness._GroupNoise([RandomSource(9, b) for b in range(5)], 5, 40, 2, 101, 1)
+            pool = ThreadPoolExecutor(1)
+            noise = harness._GroupNoise([RandomSource(9, b) for b in range(5)], 5, 40, 2, 101, pool)
             try:
                 slabs.extend(noise.normals((5, 5, 40, 2)).copy() for _ in range(101))
             finally:
                 noise.close()
+                pool.shutdown()
 
         runner = threading.Thread(target=steps, daemon=True)
         original = RandomSource.normals
