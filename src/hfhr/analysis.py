@@ -88,7 +88,14 @@ def _require_finite(**values: float) -> None:
 
 
 def theory_constants(L: float, m: float, alpha: float, gamma: float) -> TheoryConstants:
-    """Evaluate the four transformed-dynamics constants verbatim."""
+    """Evaluate the four transformed-dynamics constants verbatim.
+
+    Only sigma_min is rewritten: sqrt(base - root / 2) cancels once gamma^2
+    nears 1 / eps, so it is taken from sigma_max sigma_min = gamma
+    sqrt(1 + alpha gamma), the determinant of the transform.  Parameters
+    that take a constant beyond the floats raise a ValueError naming the
+    one farthest from 1.
+    """
     _require_finite(L=L, m=m, alpha=alpha, gamma=gamma)
     if not (L >= m >= 0):
         raise ValueError("require L >= m >= 0")
@@ -98,19 +105,27 @@ def theory_constants(L: float, m: float, alpha: float, gamma: float) -> TheoryCo
         math.sqrt(1.0 + alpha * alpha) * max(1.0 / math.sqrt(2.0), L),
         math.sqrt(1.0 + gamma * gamma),
     )
-    root = math.sqrt(
-        alpha**2 * gamma**2 - 2 * alpha * gamma**3 + 4 * alpha * gamma + gamma**4 + 4
-    )
+    try:
+        root = math.sqrt(
+            alpha**2 * gamma**2 - 2 * alpha * gamma**3 + 4 * alpha * gamma + gamma**4 + 4
+        )
+    except OverflowError:  # a power left the floats
+        root = math.inf
     base = 0.5 * alpha * gamma + 0.5 * gamma * gamma + 1.0
     sigma_max = math.sqrt(base + 0.5 * root)
-    sigma_min = math.sqrt(base - 0.5 * root)
-    lambda_prime = min(m / gamma + alpha * m, (gamma * gamma - L) / gamma)
+    sigma_min = gamma * math.sqrt(1.0 + alpha * gamma) / sigma_max
+    kappa_prime = sigma_max / sigma_min if sigma_min > 0 else math.inf
+    rates = (m / gamma + alpha * m, (gamma * gamma - L) / gamma)
+    if not all(map(math.isfinite, (l_prime, sigma_max, kappa_prime, *rates))):
+        params = {"gamma": gamma, "alpha": alpha, "L": L, "m": m}
+        name = max(params, key=lambda k: abs(math.log(params[k])) if params[k] > 0 else 0.0)
+        raise ValueError(f"{name} = {params[name]:g} is out of range: a constant leaves the floats")
     return TheoryConstants(
         l_prime=l_prime,
         sigma_max=sigma_max,
         sigma_min=sigma_min,
-        kappa_prime=sigma_max / sigma_min,
-        lambda_prime=lambda_prime,
+        kappa_prime=kappa_prime,
+        lambda_prime=min(rates),
     )
 
 
@@ -170,7 +185,7 @@ def rate_bound_w2(alpha: float, gamma: float, m: float, L: float) -> W2RateBound
         rate=m / gamma + m * alpha,
         prefactor=consts.kappa_prime,
         gamma_ok=gamma * gamma > L + m,
-        alpha_ok=alpha <= (gamma * gamma - L - m) / (m * gamma),
+        alpha_ok=alpha * m * gamma <= gamma * gamma - L - m,  # alpha <= (gamma^2 - L - m) / (m gamma); m gamma may underflow
     )
 
 
@@ -266,10 +281,20 @@ def _ou_blocks(gamma: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     if x >= 700.0:
         raise ValueError("gamma * t too large for stable exponentials")
     u, w = math.expm1(-x), math.expm1(-2.0 * x)  # e^{-x} - 1 and e^{-2x} - 1, no cancellation
-    series = (x**3) * (2.0 / 3.0 - 0.5 * x + (7.0 / 30.0) * x * x)  # closed form cancels to O(x^3)
-    v_qq = (series if x < 1e-4 else 2.0 * x + 4.0 * u - w) / gamma**2
-    T = np.array([[1.0, -u / gamma], [0.0, math.exp(-x)]])
-    Q = np.array([[v_qq, u * u / gamma], [u * u / gamma, -w]])
+    drift, closed = -u / gamma, 2.0 * x + 4.0 * u - w
+    v_qp = u * u / gamma
+    if x < 1e-4:
+        # closed cancels to O(x^3), gamma**2 and u * u may underflow, and a
+        # subnormal gamma has few digits: series in x, times powers of t
+        drift = t * (1.0 - x / 2.0 + x * x / 6.0 - x**3 / 24.0)
+        v_qq = x * t * t * (2.0 / 3.0 - 0.5 * x + (7.0 / 30.0) * x * x)
+        v_qp = gamma * drift * drift
+    elif 1e-150 < gamma < 1e150:
+        v_qq = closed / gamma**2
+    else:  # gamma**2 would leave the floats
+        v_qq = closed / gamma / gamma
+    T = np.array([[1.0, drift], [0.0, math.exp(-x)]])
+    Q = np.array([[v_qq, v_qp], [v_qp, -w]])
     return T, Q
 
 
@@ -334,10 +359,12 @@ def step_affine_map(
         T = _blocks(lam, 1.0 - alpha * h * lam, h, -h * lam, 1.0 - gamma * h)
         Q = _blocks(lam, 2.0 * alpha * h, 0.0, 0.0, 2.0 * gamma * h)
     elif kind == "uld_klmc":
-        c1 = -math.expm1(-gamma * h) / gamma
-        c2 = (h - c1) / gamma
-        T = _blocks(lam, 1.0 - c2 * lam, c1, -c1 * lam, math.exp(-gamma * h))
-        Q = np.tile(_ou_blocks(gamma, h)[1], (n, 1, 1))
+        Tou, Qou = _ou_blocks(gamma, h)
+        x, c1 = gamma * h, Tou[0, 1]
+        # (h - c1) / gamma cancels as x -> 0: below 1e-4, its series h^2 (12 - 4x + x^2) / 24
+        c2 = h * h * (12.0 - 4.0 * x + x * x) / 24.0 if x < 1e-4 else (h - c1) / gamma
+        T = _blocks(lam, 1.0 - c2 * lam, c1, -c1 * lam, Tou[1, 1])
+        Q = np.tile(Qou, (n, 1, 1))
     else:  # hfhr_strang: OU half flow, then psi, then OU half flow
         Tphi, Qphi = _ou_blocks(gamma, 0.5 * h)
         Tpsi = _blocks(lam, 1.0 - alpha * h * lam, 0.0, -h * lam, 1.0)
@@ -355,15 +382,21 @@ def step_affine_map(
 
 
 def _block_radii(blocks: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue modulus of each block of an (m, n, n) stack, n = 1 or 2."""
+    """Largest eigenvalue modulus of each block of an (m, n, n) stack, n = 1 or 2.
+
+    A 2x2 block is first divided by a power of two near its largest entry,
+    which is exact, so that its squared trace and determinant cannot overflow.
+    """
     if blocks.shape[-1] == 1:
         return np.abs(blocks[:, 0, 0])
+    scale = np.ldexp(1.0, np.frexp(np.abs(blocks).max(axis=(1, 2)))[1])
+    blocks = blocks / scale[:, None, None]
     tr = blocks[:, 0, 0] + blocks[:, 1, 1]
     det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
     disc = tr * tr - 4.0 * det
     real = 0.5 * (np.abs(tr) + np.sqrt(np.maximum(disc, 0.0)))
     # a complex pair has |lambda|^2 = det
-    return np.where(disc <= 0.0, np.sqrt(np.maximum(det, 0.0)), real)
+    return scale * np.where(disc <= 0.0, np.sqrt(np.maximum(det, 0.0)), real)
 
 
 def spectral_radius(T: np.ndarray) -> float:
@@ -397,8 +430,8 @@ def uld_optimal_discount(eps: float) -> UldOptimalDiscount:
     For Hessian eigenvalues {1, 1/eps} the optimum is h = sqrt(2 eps/(1+eps)),
     gamma = sqrt(2 (1+eps)/eps), with discount sqrt((1-eps)/(1+eps)).
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    if not (0.0 < eps < 1.0 and 1.0 / eps < math.inf):  # 1 / eps is the second eigenvalue
+        raise ValueError("eps must lie in (0, 1), with 1 / eps finite")
     h = math.sqrt(2.0 * eps / (1.0 + eps))
     gamma = math.sqrt(2.0 * (1.0 + eps)) / math.sqrt(eps)
     discount = math.sqrt((1.0 - eps) / (1.0 + eps))
@@ -424,10 +457,11 @@ def hfhr_demo2_parameters(eps: float, c: float) -> AcceleratedDiscount:
 
     Solves tr A1 = 0 and det A1 + det A2 = 0 with h = c eps; the resulting
     discount is (1/(sqrt(2)(1+eps))) sqrt((1-eps)(1-eps+R)) where R is the
-    common radical.  Both defining residuals are checked to 1e-10.
+    common radical.  Both defining residuals are checked to 1e-10; where
+    rounding breaks them, the parameters are a ValueError.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    if not (0.0 < eps < 1.0 and 1.0 / eps < math.inf):  # 1 / eps is the second eigenvalue
+        raise ValueError("eps must lie in (0, 1), with 1 / eps finite")
     _require_finite(c=c)
     if c <= 0:
         raise ValueError("c must be > 0")
@@ -435,6 +469,8 @@ def hfhr_demo2_parameters(eps: float, c: float) -> AcceleratedDiscount:
         4 * c * c * eps**4 + 8 * c * c * eps**3 + 4 * c * c * eps**2 + eps**2 - 2 * eps + 1
     )
     denom = 2.0 * c * eps * eps + 2.0 * c * eps
+    if denom == 0.0:
+        raise ValueError("c * eps must not underflow to 0")
     gamma = (R + eps + 3.0) / denom
     alpha = (-R + 3.0 * eps + 1.0) / denom
     h = c * eps
@@ -444,10 +480,11 @@ def hfhr_demo2_parameters(eps: float, c: float) -> AcceleratedDiscount:
 
     A1 = _demo_block(1.0, alpha, gamma, h)
     A2 = _demo_block(1.0 / eps, alpha, gamma, h)
-    tr1 = A1[0, 0] + A1[1, 1]
-    det_sum = np.linalg.det(A1) + np.linalg.det(A2)
-    if abs(tr1) > 1e-10 or abs(det_sum) > 1e-10:
-        raise AssertionError("defining system residuals exceed 1e-10")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        tr1 = A1[0, 0] + A1[1, 1]
+        det_sum = np.linalg.det(A1) + np.linalg.det(A2)
+    if not (abs(tr1) <= 1e-10 and abs(det_sum) <= 1e-10):
+        raise ValueError("eps, c outside the range where the defining system holds to 1e-10")
     return AcceleratedDiscount(gamma=gamma, alpha=alpha, step=h, discount=discount)
 
 

@@ -7,11 +7,11 @@ worker count.
 
 Consecutive equal-size blocks of a config step as one stacked state, each
 block still on its own stream (``_run_group``).  A run opens one thread
-pool: with more than one worker the groups are its tasks, and with one its
-single thread draws each group's noise ahead of the kernel
-(``_GroupNoise``).  A group stops at its first non-finite row, since a
-config's output ends at its first divergence.  A config's records are
-merged and scored as stacked arrays (``_moment_values``).
+pool: with more than one worker and more than one group the groups are its
+tasks, and otherwise its single thread draws each group's noise ahead of
+the kernel (``_GroupNoise``).  A group stops at its first non-finite row,
+since a config's output ends at its first divergence.  A config's records
+are merged and scored as stacked arrays (``_moment_values``).
 """
 
 from __future__ import annotations
@@ -690,8 +690,11 @@ def run_experiment(
 
     Chains advance in fixed blocks with per-block noise streams, equal-size
     blocks stacked into groups; block partials merge in block order, so the
-    output is identical for any ``workers`` value.  A diverging config is
-    truncated and flagged, not fatal to the run.
+    output is identical for any ``workers`` value.  With ``workers`` > 1
+    and two or more groups, up to ``workers`` pool threads step the groups;
+    otherwise the calling thread steps them and one pool thread draws their
+    noise ahead.  A diverging config is truncated and flagged, not fatal to
+    the run.
     """
     model = spec.model()
     # parse_config checked that a closed-form reference exists for the model
@@ -712,10 +715,11 @@ def run_experiment(
     n_blocks = (spec.chains + BLOCK_SIZE - 1) // BLOCK_SIZE
     sizes = [min(BLOCK_SIZE, spec.chains - b * BLOCK_SIZE) for b in range(n_blocks)]
     groups = _groups(sizes, model.dim)
-    # one executor per run: with workers > 1 its threads step the groups;
-    # with one, its single thread draws each group's noise ahead of the
-    # kernel while the calling thread steps the groups in turn
-    if workers > 1:
+    # one executor per run: with workers > 1 and two or more groups its
+    # threads step the groups; else its one thread draws each group's noise
+    # ahead while the calling thread steps the groups, at any worker count
+    parallel = workers > 1 and len(groups) > 1
+    if parallel:
         pool = ThreadPoolExecutor(max_workers=workers)
     else:
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hfhr-noise")
@@ -724,7 +728,7 @@ def run_experiment(
             steps = spec.steps_for(config)
             record_steps = range(0, steps + 1, spec.record_every)  # and the last step
 
-            def task(group, noise_pool=None):
+            def task(group):
                 return _run_group(
                     spec,
                     model,
@@ -734,13 +738,10 @@ def run_experiment(
                     streams=[c_idx * _CONFIG_STREAMS + b for b in group],
                     n=sizes[group[0]],
                     keep_samples=keep_samples,
-                    noise_pool=noise_pool,
+                    noise_pool=None if parallel else pool,
                 )
 
-            if workers > 1:
-                group_records, stops = zip(*pool.map(task, groups))
-            else:
-                group_records, stops = zip(*(task(group, pool) for group in groups))
+            group_records, stops = zip(*(pool.map if parallel else map)(task, groups))
             # a group is charged its rows times the steps it ran
             grad_evals[config_id] = sum(
                 sizes[group[0]] * len(group) * (steps if stop is None else stop) for group, stop in zip(groups, stops)
@@ -1057,7 +1058,7 @@ def write_svg_plot(series: ResultSeries, style: str, path: str, title: str = "")
     for i, cid in enumerate(config_ids):
         xs, ys = data[cid]
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{to_px(x, y)[0]:.3f},{to_px(x, y)[1]:.3f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{px:.3f},{py:.3f}" for px, py in map(to_px, xs, ys))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         ly = mt + 15 + 16 * i
         lx = ml + plot_w + 10

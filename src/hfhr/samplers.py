@@ -91,6 +91,11 @@ class SamplerConfig:
             raise ValueError("gamma must be > 0")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
+        share = KERNELS[self.kind].ou_share  # phi_kernel's e^{-gamma t} over t = share * step
+        if share and not share * self.step > 0:
+            raise ValueError(f"step * {share:g} must be > 0 for {self.kind}'s exact OU flow")
+        if share and not self.gamma * (share * self.step) < 700.0:
+            raise ValueError(f"gamma * step must be < {700.0 / share:g} for {self.kind}'s exact OU flow")
 
 
 def phi_covariance(gamma: float, t: float) -> np.ndarray:
@@ -111,10 +116,15 @@ def phi_covariance(gamma: float, t: float) -> np.ndarray:
     v_pp = -w
     v_qp = u * u / gamma
     if x < 1e-4:
-        # the closed form for v_qq cancels to O(x^3); use its expansion
-        v_qq = (x**3) * (2.0 / 3.0 - 0.5 * x + (7.0 / 30.0) * x * x) / gamma**2
-    else:
+        # the closed form for v_qq cancels to O(x^3), and gamma**2 and u * u
+        # may underflow: their expansions, x^3 / gamma^2 as gamma t^3 and
+        # x^2 / gamma as x t
+        v_qq = gamma * t * t * t * (2.0 / 3.0 - 0.5 * x + (7.0 / 30.0) * x * x)
+        v_qp = x * t * (1.0 - x + (7.0 / 12.0) * x * x)
+    elif 1e-150 < gamma < 1e150:
         v_qq = (2.0 * x + 4.0 * u - w) / gamma**2
+    else:  # gamma**2 leaves the floats; v_qq itself under- or overflows
+        v_qq = (2.0 * x + 4.0 * u - w) / gamma / gamma
     return np.array([[v_qq, v_qp], [v_qp, v_pp]])
 
 
@@ -136,15 +146,20 @@ class PhiFlowKernel:
 
 def phi_kernel(gamma: float, t: float) -> PhiFlowKernel:
     cov = phi_covariance(gamma, t)
+    x = gamma * t
+    if x >= 1e-4:
+        drift = -math.expm1(-x) / gamma
+    else:  # as t (1 - e^{-x}) / x, exact to the digits a subnormal gamma lacks
+        drift = t * (-math.expm1(-x) / x) if x > 0 else t
     m11 = math.sqrt(cov[0, 0])
-    m21 = cov[0, 1] / m11
+    m21 = cov[0, 1] / m11 if m11 > 0 else 0.0  # v_qq underflowed: no q noise to pair with
     m22 = math.sqrt(max(cov[1, 1] - m21 * m21, 0.0))
     chol = np.array([[m11, 0.0], [m21, m22]])
     return PhiFlowKernel(
         gamma=gamma,
         t=t,
-        drift=-math.expm1(-gamma * t) / gamma,
-        decay=math.exp(-gamma * t),
+        drift=drift,
+        decay=math.exp(-x),
         cov=cov,
         chol=chol,
     )
@@ -208,7 +223,9 @@ def _uld_klmc(model: PotentialModel, config: SamplerConfig):
     h = config.step
     kernel = phi_kernel(config.gamma, h)
     c1 = kernel.drift
-    c2 = (h - c1) / config.gamma
+    x = config.gamma * h
+    # (h - c1) / gamma cancels as x -> 0; below 1e-4 its expansion h^2 (1/2 - x/6 + x^2/24)
+    c2 = h * h * (0.5 - x / 6.0 + x * x / 24.0) if x < 1e-4 else (h - c1) / config.gamma
     m = kernel.chol
 
     def step(state, rng):
@@ -249,18 +266,20 @@ def _hfhr_em(model: PotentialModel, config: SamplerConfig):
 
 
 class Kernel(NamedTuple):
-    """A kind's step factory and the normals per coordinate its step draws."""
+    """A kind's step factory, the normals per coordinate its step draws, and
+    the share of the step each of its exact OU flows spans (0 for none)."""
 
     factory: Callable
     draws: int
+    ou_share: float = 0.0
 
 
 # kind -> factory that precomputes the kernel's constants once and returns
 # its (state, rng) -> state step, and its draws; every step makes exactly one
 # gradient call and one rng.normals((draws,) + shape) call
 KERNELS = {
-    "hfhr_strang": Kernel(_hfhr_strang, 5),
-    "uld_klmc": Kernel(_uld_klmc, 2),
+    "hfhr_strang": Kernel(_hfhr_strang, 5, 0.5),
+    "uld_klmc": Kernel(_uld_klmc, 2, 1.0),
     "ula": Kernel(_ula, 1),
     "hfhr_em": Kernel(_hfhr_em, 2),
 }

@@ -129,6 +129,29 @@ class TestTheoryConstants:
         with pytest.raises(ValueError):
             theory_constants(1.0, 0.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("gamma", [1e8, 1e10, 1e20, 1e70])
+    def test_sigma_min_does_not_cancel_at_large_gamma(self, gamma):
+        # sqrt(base - root / 2) gave 0 (a ZeroDivisionError in kappa') from
+        # gamma = 1e10; sigma_max sigma_min = gamma sqrt(1 + alpha gamma)
+        c = theory_constants(1.0, 1.0, 0.0, gamma)
+        assert c.sigma_min == pytest.approx(1.0, rel=1e-12)
+        assert c.kappa_prime == pytest.approx(gamma, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            ({"alpha": 1.0, "gamma": 1e200}, "gamma"),  # gamma**4 raised OverflowError
+            ({"alpha": 1e200, "gamma": 1.0}, "alpha"),
+            ({"alpha": 1e150, "gamma": 1e60}, "alpha"),  # inf - inf: NaN constants
+            ({"alpha": 1.0, "gamma": 1e-320}, "gamma"),  # m / gamma overflows
+            ({"L": 1e308, "m": 1e308, "alpha": 10.0}, "L"),  # L' overflows
+        ],
+    )
+    def test_a_parameter_taking_a_constant_beyond_the_floats_is_named(self, params, name):
+        params = {"L": 1.0, "m": 1.0, "alpha": 1.0, "gamma": 2.0, **params}
+        with pytest.raises(ValueError, match=f"^{name} = .* is out of range: a constant leaves the floats$"):
+            theory_constants(**params)
+
     @pytest.mark.parametrize("name", ["L", "m", "alpha", "gamma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_a_non_finite_parameter_is_named(self, name, value):
@@ -364,6 +387,19 @@ class TestStepAffineMap:
             with pytest.raises(ValueError, match=match):
                 step_affine_map(*args)
 
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-200, 1e-320])
+    def test_small_gamma_reaches_the_frictionless_limit(self, gamma):
+        # the series branch divided by gamma**2, 0.0 below gamma ~ 1e-162, and
+        # (h - c1) / gamma cancelled to 0; the gamma -> 0 limits are
+        # T = [[1 - h^2 / 2, h], [-h, 1]] and Q = [[2/3 g h^3, g h^2], [g h^2, 2 g h]]
+        h = 0.1
+        amap = step_affine_map("uld_klmc", [[1.0]], 0.0, gamma, h)
+        np.testing.assert_allclose(amap.T, [[1.0 - h * h / 2.0, h], [-h, 1.0]], rtol=1e-6)
+        limit = np.array([[2.0 / 3.0 * h**3, h * h], [h * h, 2.0 * h]]) * gamma
+        np.testing.assert_allclose(amap.Q, limit, rtol=1e-5, atol=1e-321)
+        strang = step_affine_map("hfhr_strang", [[1.0]], 0.5, gamma, h)
+        assert np.isfinite(strang.T).all() and np.isfinite(strang.Q).all()
+
     def test_block_radius_matches_dense(self):
         # the largest 2x2 block radius is the radius of the whole map
         rng = np.random.default_rng(5)
@@ -378,6 +414,13 @@ class TestStepAffineMap:
 class TestSpectralRadius:
     def test_identity(self):
         assert spectral_radius(np.eye(3)) == pytest.approx(1.0)
+
+    def test_a_block_whose_trace_squared_overflows(self):
+        # spectral's first table at --gamma 1e154: tr^2 overflowed with a RuntimeWarning
+        g = 1e154
+        T = np.array([[1.0, g / 2.0], [-g / 2.0, 1.0 - g * g / 2.0]])
+        assert spectral_radius(T) == pytest.approx(g * g / 2.0, rel=1e-12)
+        assert spectral_radius(1e300 * np.array([[0.0, 1.0], [-1.0, 0.0]])) == 1e300
 
     def test_demo1_modulus_formula(self):
         rng = np.random.default_rng(0)
@@ -486,6 +529,18 @@ class TestDemo2:
         for c in (math.nan, math.inf):  # NaN passed c <= 0 and gave NaN parameters
             with pytest.raises(ValueError, match="^c must be a finite number$"):
                 hfhr_demo2_parameters(0.1, c)
+
+    @pytest.mark.parametrize(
+        "eps, c, message",
+        [
+            (1e-200, 5e-324, "c \\* eps must not underflow to 0"),  # was a ZeroDivisionError
+            (0.9, 5e-324, "defining system holds to 1e-10"),  # was an AssertionError
+            (0.3, 5e-324, "defining system holds to 1e-10"),  # det overflowed with a RuntimeWarning
+        ],
+    )
+    def test_parameters_beyond_the_floats_are_value_errors(self, eps, c, message):
+        with pytest.raises(ValueError, match=message):
+            hfhr_demo2_parameters(eps, c)
 
 
 class TestGaussianPropagation:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -85,6 +86,31 @@ class TestSample:
         assert (code, out) == (2, "")
         assert f"error: {message}" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--step", "1e300"], "gamma * step must be < 1400 for hfhr_strang's exact OU flow"),
+            (["--kind", "uld_klmc", "--step", "400"], "gamma * step must be < 700 for uld_klmc's exact OU flow"),
+            (["--step", "5e-324"], "step * 0.5 must be > 0 for hfhr_strang's exact OU flow"),
+        ],
+    )
+    def test_an_exact_ou_flow_out_of_range_fails_before_any_output(self, capsys, flags, message):
+        # the header and the step-0 row were printed before the kernel failed
+        code, out, err = run_cli(capsys, "sample", "--potential", "quadratic_iso", "--steps", "2", *flags)
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("kind", ["hfhr_strang", "uld_klmc"])
+    def test_a_subnormal_gamma_samples(self, capsys, kind):
+        # gamma**2 underflowed to 0.0: a ZeroDivisionError traceback
+        code, out, err = run_cli(
+            capsys, "sample", "--potential", "quadratic_iso", "--kind", kind, "--step", "0.1", "--gamma", "1e-320",
+            "--steps", "2",
+        )
+        assert code == 0, err
+        q = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert q[1] == pytest.approx(0.995, rel=1e-9)  # the frictionless step with no noise to speak of
+
     def test_a_negative_value_in_exponent_form_takes_the_equals_form(self, capsys):
         # argparse reads "-1e3" after a flag as an option of its own, so it
         # is written --q0=-1e3 (see the README's CLI section)
@@ -137,6 +163,14 @@ class TestTheory:
         assert (code, out) == (2, "")
         assert f"error: {name} must be a finite number" in err
 
+    @pytest.mark.parametrize("flag, name", [("--gamma", "gamma"), ("--alpha", "alpha")])
+    def test_a_flag_taking_a_constant_beyond_the_floats_is_named(self, capsys, flag, name):
+        # gamma**4 or alpha**2 raised OverflowError, a traceback
+        flags = {"--L": "1", "--m": "1", "--alpha": "1", "--gamma": "1", flag: "1e200"}
+        code, out, err = run_cli(capsys, "theory", *[x for item in flags.items() for x in item])
+        assert (code, out) == (2, "")
+        assert f"error: {name} = 1e+200 is out of range" in err
+
     def test_a_non_finite_poincare_constant_without_alpha_is_named(self, capsys):
         # alpha = 0 skips the Poincare bound: the convex bound checks it alone
         code, out, err = run_cli(
@@ -169,6 +203,23 @@ class TestSpectral:
         code, out, err = run_cli(capsys, "spectral", "--gamma", gamma)
         assert (code, out) == (2, "")
         assert "error: --gamma must be a finite number > 0" in err
+
+    def test_an_eps_whose_inverse_overflows_is_named(self, capsys):
+        # 1 / eps = inf made the eigenvalue block non-finite: "matrix must be finite"
+        code, out, err = run_cli(capsys, "spectral", "--eps", "5e-324")
+        assert (code, out) == (2, "")
+        assert "error: eps must lie in (0, 1), with 1 / eps finite" in err
+
+    def test_a_large_gamma_prints_its_radius(self, capsys):
+        # tr^2 of the alpha = 0 block overflowed with a RuntimeWarning
+        code, out, err = run_cli(capsys, "spectral", "--gamma", "1e154")
+        assert code == 0, err
+        assert out.splitlines()[2] == "0 1e+154 5e+153 5e+307"
+
+    def test_a_c_that_underflows_prints_no_line(self, capsys):
+        code, out, err = run_cli(capsys, "spectral", "--c", "5e-324", "--eps", "0.9")
+        assert (code, out) == (2, "")
+        assert "error: eps, c outside the range where the defining system holds to 1e-10" in err
 
     @pytest.mark.parametrize("c", ["nan", "inf"])
     def test_a_non_finite_c_prints_no_line(self, capsys, c):
@@ -228,6 +279,32 @@ class TestExperiment:
         )
         assert code == 3
         assert "diverged" in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sampler": [{"id": "u", "kind": "uld_klmc", "gamma": 2.0, "step": 400.0}]},
+             "sampler[0].gamma * step must be < 700 for uld_klmc's exact OU flow"),
+            ({"metric": "mean_error", "reference": {"type": "benchmark_run", "kind": "uld_klmc", "step": 400.0}},
+             "reference.gamma * step must be < 700 for uld_klmc's exact OU flow"),
+        ],
+    )
+    def test_an_exact_ou_flow_out_of_range_is_a_spec_error(self, tmp_path, capsys, change, message):
+        # the kernel failed at run time with "gamma * t too large for stable exponentials"
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "a", "kind": "ula", "step": 0.1}],
+            "chains": 10,
+            "steps": 2,
+            **change,
+        }
+        with pytest.raises(harness.ConfigError, match=re.escape(message)):
+            harness.parse_config(json.dumps(doc))
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
 
     def test_diverging_reference_is_config_error(self, tmp_path, capsys):
         # ula at h=5 on a unit quadratic multiplies q by -4 per step

@@ -169,7 +169,7 @@ class TestParseConfig:
         # unset, the reference horizon is 10 x horizon, which itself overflows
         doc = self.reference_doc()
         doc["horizon"] = 1e308
-        doc["sampler"][0]["step"] = 1e300
+        doc["sampler"][0].update(kind="ula", step=1e300)  # an OU flow over 1e300 is an error of its own
         with pytest.raises(ConfigError, match=re.escape("reference.horizon: its ratio")):
             parse_config(json.dumps(doc))
         # huge but finite: a valid, endless run
@@ -1115,6 +1115,20 @@ def fills(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The thread name prefix of each executor that run_experiment opens."""
+    prefixes = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            prefixes.append(kwargs.get("thread_name_prefix", ""))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Counted)
+    return prefixes
+
+
 class HelperFault(Exception):
     pass
 
@@ -1178,15 +1192,7 @@ class TestNoiseHelpers:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_run_opens_one_executor(self, monkeypatch, workers):
-        opened = []
-
-        class Counted(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(kwargs.get("thread_name_prefix", ""))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", Counted)
+    def test_a_run_opens_one_executor(self, opened, workers):
         doc = minimal_doc(chains=2500, steps=9, record_every=3)
         doc["sampler"].append({"id": "ula", "kind": "ula", "step": 0.1})
         del doc["horizon"]
@@ -1194,6 +1200,19 @@ class TestNoiseHelpers:
         # with one worker the pool's only thread draws noise; with more,
         # the pool's threads step the groups and draw nothing ahead
         assert opened == (["hfhr-noise"] if workers == 1 else [""])
+
+    def test_a_one_group_run_draws_ahead_at_any_worker_count(self, opened, fills, tmp_path):
+        # 2,000 chains at d = 1 stack into one group: a second worker would
+        # idle, so the run steps it on the calling thread and draws ahead
+        doc = minimal_doc(chains=2000, steps=9, record_every=3)
+        del doc["horizon"]
+        spec = parse_config(json.dumps(doc))
+        for workers in (1, 2):
+            fills.clear()
+            write_csv(run_experiment(spec, workers=workers), str(tmp_path / f"w{workers}.csv"))
+            assert self.helper_fills(fills), workers
+        assert opened == ["hfhr-noise", "hfhr-noise"]
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
     def test_a_fill_that_raises_on_the_stepping_thread_waits_for_the_pool_fill(self, fills):
         # the stepping thread raises while the pool thread is inside a fill of
@@ -1311,7 +1330,8 @@ class TestNoiseHelpers:
             assert np.stack(slabs)[:, :, b].tobytes() == alone.tobytes()
 
     def test_no_helper_on_the_pool_or_outside_run_experiment(self, fills):
-        doc = minimal_doc(chains=2000, steps=9, record_every=3)
+        # 2,500 chains are two groups, which the pool's two threads step
+        doc = minimal_doc(chains=2500, steps=9, record_every=3)
         del doc["horizon"]
         spec = parse_config(json.dumps(doc))
         run_experiment(spec, workers=2)

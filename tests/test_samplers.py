@@ -96,6 +96,17 @@ class TestPhiCovariance:
                 eigs = np.linalg.eigvalsh(phi_covariance(gamma, t))
                 assert eigs.min() >= -1e-18
 
+    @pytest.mark.parametrize("gamma, t", [(1e-200, 0.1), (1e-320, 0.05), (1.0, 1e-110), (1e200, 1e-201), (1e-200, 1e199)])
+    def test_a_gamma_squared_beyond_the_floats_gives_a_kernel(self, gamma, t):
+        # gamma**2 underflows or overflows; v_qq is gamma t^3 (2/3 - x/2 + ...)
+        # below x = gamma t = 1e-4, and under- or overflows only as itself
+        x = gamma * t
+        k = phi_kernel(gamma, t)
+        if x < 1e-4:
+            assert k.cov[0, 0] == pytest.approx(gamma * t**3 * (2.0 / 3.0 - 0.5 * x), rel=1e-9, abs=1e-320)
+        assert k.cov[1, 1] == pytest.approx(-math.expm1(-2.0 * x), rel=1e-12)
+        assert k.chol[1, 0] ** 2 + k.chol[1, 1] ** 2 == pytest.approx(k.cov[1, 1], rel=1e-12)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             phi_covariance(0.0, 1.0)
@@ -278,6 +289,15 @@ class TestUldStep:
         out = uld_step(ChainState(q=np.array([q0]), p=np.array([p0])), F1, config, ZeroNoise())
         assert out.q[0] == pytest.approx(expect_q, abs=1e-14)
         assert out.p[0] == pytest.approx(expect_p, abs=1e-14)
+
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-200, 1e-320])
+    def test_zero_noise_image_at_small_gamma_is_the_frictionless_step(self, gamma):
+        # (h - c1) / gamma cancels as gamma h -> 0 (to 0 below gamma h ~ 1e-16);
+        # the limit is q + h p - h^2 / 2 g, p - h g
+        h, q0, p0 = 0.1, 1.0, 0.5
+        out = uld_step(ChainState(q=np.array([q0]), p=np.array([p0])), F1, SamplerConfig("uld_klmc", h, gamma), ZeroNoise())
+        assert out.q[0] == pytest.approx(q0 + h * p0 - 0.5 * h * h * q0, rel=1e-6)
+        assert out.p[0] == pytest.approx(p0 - h * q0, rel=1e-6)
 
     def test_stationary_covariance_first_order_in_h(self):
         target = np.eye(2)
@@ -550,6 +570,15 @@ class TestSamplerConfigValidation:
         for bad in ("0.1", None, math.nan, math.inf):
             with pytest.raises(ValueError, match="step must be a finite number"):
                 SamplerConfig(kind="ula", step=bad)
+
+    @pytest.mark.parametrize("kind, step, limit", [("uld_klmc", 350.0, 700), ("hfhr_strang", 700.0, 1400)])
+    def test_the_exact_ou_flow_needs_gamma_times_its_time_below_700(self, kind, step, limit):
+        # gamma = 2 puts gamma t at 700 exactly: t = step for uld_klmc, step / 2 for hfhr_strang
+        with pytest.raises(ValueError, match=rf"^gamma \* step must be < {limit} for {kind}'s exact OU flow$"):
+            SamplerConfig(kind=kind, step=step, gamma=2.0)
+        make_stepper(builtin_potential("quadratic_iso", m=1.0, d=1), SamplerConfig(kind=kind, step=0.999 * step, gamma=2.0))
+        for other in ("ula", "hfhr_em"):  # no exponential: a large gamma * step diverges instead
+            SamplerConfig(kind=other, step=step, gamma=2.0)
 
     def test_fields_stored_as_floats(self):
         config = SamplerConfig(kind="hfhr_em", step=1, gamma=2, alpha=0)
