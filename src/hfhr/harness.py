@@ -6,12 +6,15 @@ partials are merged in block order, so results are byte-identical for any
 worker count.
 
 Consecutive equal-size blocks of a config step as one stacked state, each
-block still on its own stream (``_run_group``).  A run opens one thread
-pool: with more than one worker and more than one group the groups are its
-tasks, and otherwise its single thread draws each group's noise ahead of
-the kernel (``_GroupNoise``).  A group stops at its first non-finite row,
-since a config's output ends at its first divergence.  A config's records
-are merged and scored as stacked arrays (``_moment_values``).
+block still on its own stream (``_run_group``); a ``benchmark_run``
+reference is a group of one block of ``reference.chains`` rows on stream
+900,000, stepped the same way.  A run opens one thread pool, before the
+reference: with more than one worker and more than one group the groups
+are its tasks, and otherwise its single thread draws each group's noise
+ahead of the kernel (``_GroupNoise``); it draws the reference's ahead
+either way.  A group stops at its first non-finite row, since a config's
+output ends at its first divergence.  A config's records are merged and
+scored as stacked arrays (``_moment_values``).
 """
 
 from __future__ import annotations
@@ -354,15 +357,15 @@ def parse_config(text: str) -> ExperimentSpec:
 
 
 def _init_blocks(spec: ExperimentSpec, dim: int, n: int, sources: list) -> ChainState:
-    """Start states of len(sources) blocks of n chains, block b in rows b * n:(b + 1) * n."""
-    rows = n * len(sources)
-    q = np.broadcast_to(np.atleast_1d(np.asarray(spec.init.q, dtype=float)), (rows, dim)).copy()
-    p = np.broadcast_to(np.atleast_1d(np.asarray(spec.init.p, dtype=float)), (rows, dim)).copy()
+    """Start states of len(sources) blocks of n chains, shape (B, n, d), block b at index b."""
+    shape = (len(sources), n, dim)
+    q = np.broadcast_to(np.atleast_1d(np.asarray(spec.init.q, dtype=float)), shape).copy()
+    p = np.broadcast_to(np.atleast_1d(np.asarray(spec.init.p, dtype=float)), shape).copy()
     for b, rng in enumerate(sources):
         if spec.init.q_std > 0:
-            q[b * n:(b + 1) * n] += spec.init.q_std * rng.normals((n, dim))
+            q[b] += spec.init.q_std * rng.normals((n, dim))
         if spec.init.p_std > 0:
-            p[b * n:(b + 1) * n] += spec.init.p_std * rng.normals((n, dim))
+            p[b] += spec.init.p_std * rng.normals((n, dim))
     return ChainState(q=q, p=p)
 
 
@@ -486,57 +489,50 @@ def _run_group(
     model: PotentialModel,
     config: SamplerConfig,
     steps: int,
-    record_steps: list,
     streams: list,
     n: int,
-    keep_samples: bool,
+    observe: Callable,
     noise_pool: Optional[ThreadPoolExecutor] = None,
-) -> tuple:
-    """Step equal-size blocks as one (B, n, d) state: (records, diverged_at).
+    too_large: Optional[str] = None,
+) -> Optional[int]:
+    """Step equal-size blocks as one (B, n, d) state: the first divergent step, or None.
 
-    Block b draws only from ``RandomSource(spec.seed, streams[b])``, so its
-    rows hold the numbers of the block run alone.  Its noise comes from a
-    ``_GroupNoise``, drawn ahead on ``noise_pool`` when one is given, and
-    one step at a time on the calling thread when not.  The gradient sees
-    the state as its (B * n, d) rows, the shape each reduction in it has
-    alone.  Step k is recorded when it is in ``record_steps`` (a range
-    tests that by arithmetic) or is the last step; a record is the blocks'
-    stacked ``(sum_q (B, d), sum_qq (B, d, d))``, or the group's samples as
-    (B * n, d) rows.  The group stops at its first non-finite row,
-    ``diverged_at``: a config's output ends before its first divergence, so
-    no later step could reach it.
+    Every block of a run steps here: a config's groups, and the benchmark
+    reference as a group of one block.  Block b draws only from
+    ``RandomSource(spec.seed, streams[b])``, so its rows hold the numbers of
+    the block run alone.  Its noise comes from a ``_GroupNoise``, drawn
+    ahead on ``noise_pool`` when one is given, and one step at a time on the
+    calling thread when not.  The gradient sees the state as its
+    (B * n, d) rows, the shape each reduction in it has alone.
+    ``observe(k, q)`` sees the positions, shape (B, n, d), at the start
+    (k = 0) and after each step k, and copies what it keeps.  The group
+    stops at its first non-finite row: a config's output ends before its
+    first divergence, so no later step could reach it.  A start or noise
+    buffer that cannot be allocated is a ``ConfigError`` led by ``too_large``.
     """
     sources = [RandomSource(spec.seed, stream) for stream in streams]
     dim = model.dim
     grad = model.grad
     rows_model = dataclasses.replace(model, grad=lambda q: grad(q.reshape(-1, dim)).reshape(q.shape))
-
-    def snapshot(q):
-        if keep_samples:
-            return q.reshape(-1, dim).copy()
-        # every block's moments at once: the same sums and syrk products
-        # as each block's (n, d) rows would give alone
-        return q.sum(axis=1), np.matmul(q.transpose(0, 2, 1), q)
-
-    # the start and its record overflow as the loop's steps do: into a
+    # the start and its observation overflow as the loop's steps do: into a
     # divergence or a non-finite metric, never into a warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             state = _init_blocks(spec, dim, n, sources)
-        except (MemoryError, ValueError) as exc:  # numpy cannot allocate, or even ask for, the state
-            raise ConfigError(f"chains and potential.params.d are too large for a block of {n} chains: {exc}") from exc
-        state = ChainState(q=state.q.reshape(len(sources), n, dim), p=state.p.reshape(len(sources), n, dim))
-        records = [snapshot(state.q)]  # step 0 is always a record step
-    noise = _GroupNoise(sources, KERNELS[config.kind].draws, n, dim, steps, noise_pool)
+            noise = _GroupNoise(sources, KERNELS[config.kind].draws, n, dim, steps, noise_pool)
+        except (MemoryError, ValueError, OSError) as exc:  # numpy or mmap cannot allocate, or even ask for, the arrays
+            too_large = too_large or f"chains and potential.params.d are too large for a block of {n} chains"
+            raise ConfigError(f"{too_large}: {exc}") from exc
     try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            observe(0, state.q)
         for k, state in iterate_chain(state, make_stepper(rows_model, config), steps, noise):
-            if k in record_steps or k == steps:
-                records.append(snapshot(state.q))
+            observe(k, state.q)
     except DivergenceError as exc:
-        return records, exc.step
+        return exc.step
     finally:
         noise.close()
-    return records, None
+    return None
 
 
 def _target_density_1d(model: PotentialModel) -> Callable:
@@ -573,9 +569,10 @@ def _benchmark_key(spec: ExperimentSpec) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir: Optional[str]):
-    """Long tiny-step baseline run; the final-half time average estimates the
-    target mean (and second moment).  Cached by content hash."""
+def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir: Optional[str], noise_pool):
+    """Long tiny-step baseline run, a ``_run_group`` block of ``reference.chains``
+    rows on ``_REFERENCE_STREAM`` drawn ahead on ``noise_pool``; the final-half
+    time average estimates the target mean (and second moment).  Cached by content hash."""
     key = _benchmark_key(spec)
     cache_path = None
     if cache_dir is not None:
@@ -587,31 +584,26 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
             return GaussianSummary(np.array(payload["mean"]), np.array(payload["cov"]))
 
     bench = spec.benchmark
-    horizon = spec.reference_horizon()
     chains = bench.chains or spec.chains
     config = SamplerConfig(kind=bench.kind, step=bench.step, gamma=bench.gamma, alpha=0.0)
-    steps = max(1, int(round(horizon / bench.step)))
-    rng = RandomSource(spec.seed, _REFERENCE_STREAM)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed start diverges at step 1
-            state = _init_blocks(spec, model.dim, chains, [rng])
-    except (MemoryError, ValueError) as exc:  # numpy cannot allocate, or even ask for, the state
-        raise ConfigError(f"reference.chains is too large: {exc}") from exc
+    steps = max(1, int(round(spec.reference_horizon() / bench.step)))
+    start = steps // 2
     acc_q = np.zeros(model.dim)
     acc_qq = np.zeros((model.dim, model.dim))
-    count = 0
-    start = steps // 2
-    try:
-        for k, state in iterate_chain(state, make_stepper(model, config), steps, rng):
-            if k > start:
-                acc_q += state.q.mean(axis=0)
-                acc_qq += state.q.T @ state.q / state.q.shape[0]
-                count += 1
-    except DivergenceError as exc:
-        raise ConfigError(f"reference run diverged at step {exc.step}") from exc
+
+    def accumulate(k, q):
+        nonlocal acc_q, acc_qq
+        if k > start:
+            acc_q += q[0].mean(axis=0)
+            acc_qq += q[0].T @ q[0] / chains
+
+    diverged = _run_group(spec, model, config, steps, [_REFERENCE_STREAM], chains, accumulate, noise_pool,
+                          "reference.chains is too large")
+    if diverged is not None:
+        raise ConfigError(f"reference run diverged at step {diverged}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        mean = acc_q / count
-        cov = acc_qq / count - np.outer(mean, mean)
+        mean = acc_q / (steps - start)
+        cov = acc_qq / (steps - start) - np.outer(mean, mean)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):  # finite states, overflowed moments
         raise ConfigError(f"reference run diverged: its moments overflowed by step {steps}")
     summary = GaussianSummary(mean=mean, cov=0.5 * (cov + cov.T))
@@ -693,22 +685,12 @@ def run_experiment(
     output is identical for any ``workers`` value.  With ``workers`` > 1
     and two or more groups, up to ``workers`` pool threads step the groups;
     otherwise the calling thread steps them and one pool thread draws their
-    noise ahead.  A diverging config is truncated and flagged, not fatal to
-    the run.
+    noise ahead.  A benchmark reference steps first, on the calling thread,
+    and draws ahead on the same pool.  A diverging config is truncated and
+    flagged, not fatal to the run.
     """
     model = spec.model()
-    # parse_config checked that a closed-form reference exists for the model
-    if spec.reference == "benchmark_run":
-        summary = _benchmark_reference(spec, model, cache_dir)
-        reference = summary.mean if spec.metric == "mean_error" else summary
-    elif spec.metric == "w2_gaussian":
-        reference = GaussianSummary(mean=np.zeros(model.dim), cov=np.linalg.inv(model.quadratic_hessian))
-    elif spec.metric == "mean_error":
-        reference = model.target_mean
-    else:
-        reference = _target_density_1d(model)
     keep_samples = spec.metric == "chi2_hist"
-
     rows = []
     grad_evals = {}
     diverged = {}
@@ -724,22 +706,35 @@ def run_experiment(
     else:
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hfhr-noise")
     with pool:
+        # parse_config checked that a closed-form reference exists for the model
+        if spec.reference == "benchmark_run":
+            summary = _benchmark_reference(spec, model, cache_dir, pool)
+            reference = summary.mean if spec.metric == "mean_error" else summary
+        elif spec.metric == "w2_gaussian":
+            reference = GaussianSummary(mean=np.zeros(model.dim), cov=np.linalg.inv(model.quadratic_hessian))
+        elif spec.metric == "mean_error":
+            reference = model.target_mean
+        else:
+            reference = _target_density_1d(model)
+
         for c_idx, (config_id, config) in enumerate(spec.samplers):
             steps = spec.steps_for(config)
             record_steps = range(0, steps + 1, spec.record_every)  # and the last step
 
             def task(group):
-                return _run_group(
-                    spec,
-                    model,
-                    config,
-                    steps,
-                    record_steps,
-                    streams=[c_idx * _CONFIG_STREAMS + b for b in group],
-                    n=sizes[group[0]],
-                    keep_samples=keep_samples,
-                    noise_pool=None if parallel else pool,
-                )
+                records = []
+
+                def record(k, q):
+                    if k in record_steps or k == steps:
+                        # every block's moments at once: the same sums and
+                        # syrk products as each block's (n, d) rows would give alone
+                        records.append(q.reshape(-1, model.dim).copy() if keep_samples
+                                       else (q.sum(axis=1), np.matmul(q.transpose(0, 2, 1), q)))
+
+                streams = [c_idx * _CONFIG_STREAMS + b for b in group]
+                stop = _run_group(spec, model, config, steps, streams, sizes[group[0]], record,
+                                  noise_pool=None if parallel else pool)
+                return records, stop
 
             group_records, stops = zip(*(pool.map if parallel else map)(task, groups))
             # a group is charged its rows times the steps it ran

@@ -174,3 +174,41 @@ def test_chi2_random_start_bytes(tmp_path, capsys, workers):
     code, err = run(capsys, config, out_dir, workers)
     assert code == 0, err
     assert {name: sha256(out_dir / name) for name in GOLDEN["chi2_random_start"]} == GOLDEN["chi2_random_start"]
+
+
+# a benchmark_run reference: d = 2 on a non-quadratic potential, a random
+# start, and a uld_klmc baseline of 700 chains over 3,000 steps; its cached
+# summary is pinned too.  Both metrics read the same cache file
+BENCHMARK_REFERENCE = {
+    "potential": {"name": "coupled_logcosh", "params": {"d": 2, "shift": 1.0}},
+    "sampler": [
+        {"id": "ula", "kind": "ula", "step": 0.1},
+        {"id": "strang", "kind": "hfhr_strang", "alpha": 0.5, "gamma": 2.0, "step": 0.1},
+    ],
+    "chains": 1500,
+    "steps": 60,
+    "record_every": 5,
+    "seed": 29,
+    "init": {"q": 1.0, "p": 0.0, "q_std": 0.5, "p_std": 0.25},
+    "reference": {"type": "benchmark_run", "kind": "uld_klmc", "gamma": 2.0, "step": 0.01, "horizon": 30.0,
+                  "chains": 700},
+}
+
+BENCHMARK_CSV = {
+    "mean_error": "e7b54c412efdb9598fb3b1fa9e18ed92a1b02a4988ac2671546f9da8046f86e9",
+    "w2_gaussian": "cb686e0e383f3a72c48630059553ba8d7789105f34dad67c9a30a7975d5acdcd",
+}
+BENCHMARK_CACHE = "3f3b93891a4a2220ae7edd5d27d1dff6dc6fd6ecf15f3f7227d3038070d2cadb"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("metric", sorted(BENCHMARK_CSV))
+def test_benchmark_reference_bytes(tmp_path, capsys, metric, workers):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({**BENCHMARK_REFERENCE, "metric": metric}))
+    out_dir = tmp_path / "out"
+    code, err = run(capsys, config, out_dir, workers, "--format", "csv")
+    assert code == 0, err
+    cached = list((out_dir / "cache").glob("benchmark-*.json"))
+    assert len(cached) == 1
+    assert (sha256(out_dir / "results.csv"), sha256(cached[0])) == (BENCHMARK_CSV[metric], BENCHMARK_CACHE)

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -416,8 +418,8 @@ class TestRunExperiment:
         class FirstGroup(Exception):
             pass
 
-        def first_group(spec, model, config, steps, record_steps, streams, n, keep_samples, noise_pool=None):
-            raise FirstGroup(steps, record_steps)
+        def first_group(spec, model, config, steps, streams, n, observe, noise_pool=None, too_large=None):
+            raise FirstGroup(steps, inspect.getclosurevars(observe).nonlocals["record_steps"])
 
         monkeypatch.setattr(harness, "_run_group", first_group)
         for steps in (50, 10**12):  # a list at 50 fails before 10**12 is tried
@@ -464,6 +466,28 @@ class TestRunExperiment:
         doc = minimal_doc(potential={"name": "coupled_logcosh", "params": {"d": 10**6}}, metric="mean_error")
         with pytest.raises(ConfigError, match="chains and potential.params.d are too large .*1000 x 1000000"):
             run_experiment(parse_config(json.dumps(doc)), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_noise_too_large_to_map_is_config_error(self, monkeypatch, workers):
+        # mmap fails with ENOMEM for a map larger than memory; 2,500 chains
+        # are two groups, which the pool steps at two workers
+        def no_memory(shape):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(harness, "_mapped_empty", no_memory)
+        doc = minimal_doc(chains=2500, metric="mean_error")
+        with pytest.raises(ConfigError, match=r"chains and potential.params.d are too large for a block of 1000 chains: "
+                                              r"\[Errno 12\] Cannot allocate memory"):
+            run_experiment(parse_config(json.dumps(doc)), workers=workers)
+
+    def test_reference_noise_too_large_to_map_is_config_error(self, monkeypatch, tmp_path):
+        def no_memory(shape):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(harness, "_mapped_empty", no_memory)
+        doc = minimal_doc(metric="mean_error", reference={"type": "benchmark_run", "step": 0.1, "horizon": 2.0, "chains": 50})
+        with pytest.raises(ConfigError, match=r"reference.chains is too large: \[Errno 12\] Cannot allocate memory"):
+            run_experiment(parse_config(json.dumps(doc)), cache_dir=str(tmp_path))
 
     def test_samples_where_the_target_has_no_mass_score_infinite_chi2(self):
         # one step of h = 1.3 throws chains far out of the double well, where
@@ -557,16 +581,27 @@ def assert_same_group(spec, model, config, steps, record_steps, streams, n, resu
         assert_same_block(records, j, n, sums)
 
 
+def run_group(spec, model, config, steps, record_steps, streams, n):
+    """``harness._run_group`` keeping each record step's stacked moments: (records, diverged_at)."""
+    records = []
+
+    def record(k, q):
+        if k in record_steps or k == steps:
+            records.append((q.sum(axis=1), np.matmul(q.transpose(0, 2, 1), q)))
+
+    return records, harness._run_group(spec, model, config, steps, streams, n, record)
+
+
 @pytest.fixture
 def recorded_groups(monkeypatch):
     """Each group run_experiment steps: (config, n, streams, result), in call order."""
     groups = []
     original = harness._run_group
 
-    def recording(spec, model, config, steps, record_steps, streams, n, keep_samples, noise_pool=None):
-        result = original(spec, model, config, steps, record_steps, streams, n, keep_samples, noise_pool)
-        groups.append((config, n, list(streams), result))
-        return result
+    def recording(spec, model, config, steps, streams, n, observe, noise_pool=None, too_large=None):
+        stop = original(spec, model, config, steps, streams, n, observe, noise_pool, too_large)
+        groups.append((config, n, list(streams), (inspect.getclosurevars(observe).nonlocals["records"], stop)))
+        return stop
 
     monkeypatch.setattr(harness, "_run_group", recording)
     return groups
@@ -709,7 +744,7 @@ class TestStackedBlocks:
         streams = [3, 4, 5, 6, 7]
         for kind in KINDS:
             config = SamplerConfig(kind=kind, step=0.02, gamma=2.0, alpha=0.5)
-            result = harness._run_group(spec, model, config, 12, [0, 3, 6, 9, 12], streams, 30, False)
+            result = run_group(spec, model, config, 12, [0, 3, 6, 9, 12], streams, 30)
             assert result[1] is None
             assert_same_group(spec, model, config, 12, {3, 6, 9, 12}, streams, 30, result)
 
@@ -1329,6 +1364,32 @@ class TestNoiseHelpers:
             alone = original(RandomSource(9, b), (101, 5, 40, 2))
             assert np.stack(slabs)[:, :, b].tobytes() == alone.tobytes()
 
+    def test_a_reference_draws_ahead_on_the_runs_executor(self, opened, monkeypatch, tmp_path):
+        drawn = []  # (stream, thread name) of each in-place fill
+        original = RandomSource.normals
+
+        def recording(self, shape, out=None):
+            if out is not None:
+                drawn.append((self.stream, threading.current_thread().name))
+            return original(self, shape, out=out)
+
+        monkeypatch.setattr(RandomSource, "normals", recording)
+        doc = minimal_doc(chains=50, metric="mean_error",
+                          reference={"type": "benchmark_run", "step": 0.01, "horizon": 4.0, "chains": 50})
+        run_experiment(parse_config(json.dumps(doc)), cache_dir=str(tmp_path))  # a cache miss
+        assert opened == ["hfhr-noise"]
+        threads = {name for stream, name in drawn if stream == harness._REFERENCE_STREAM}
+        assert "hfhr-noise_0" in threads and threads <= {"hfhr-noise_0", "MainThread"}
+
+    def test_a_diverging_reference_joins_the_executor(self, opened, tmp_path):
+        # ula at h = 10 multiplies q by -9 per step
+        doc = minimal_doc(chains=10, metric="mean_error",
+                          reference={"type": "benchmark_run", "kind": "ula", "step": 10.0, "horizon": 10_000.0, "chains": 10})
+        with pytest.raises(ConfigError, match=r"^reference run diverged at step 323$"):
+            run_experiment(parse_config(json.dumps(doc)), cache_dir=str(tmp_path))
+        assert opened == ["hfhr-noise"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_helper_on_the_pool_or_outside_run_experiment(self, fills):
         # 2,500 chains are two groups, which the pool's two threads step
         doc = minimal_doc(chains=2500, steps=9, record_every=3)
@@ -1336,5 +1397,5 @@ class TestNoiseHelpers:
         spec = parse_config(json.dumps(doc))
         run_experiment(spec, workers=2)
         config = spec.samplers[0][1]
-        harness._run_group(spec, spec.model(), config, 9, range(0, 10, 3), [0, 1], 1000, False)
+        run_group(spec, spec.model(), config, 9, range(0, 10, 3), [0, 1], 1000)
         assert fills and not self.helper_fills(fills)
