@@ -28,10 +28,11 @@ import json
 import math
 import mmap
 import os
+import sys
 import tempfile
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, closing, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -52,6 +53,11 @@ _CONFIG_STREAMS = 1_000_000
 _REFERENCE_STREAM = 900_000
 
 METRICS = ("w2_gaussian", "chi2_hist", "mean_error")
+
+# np.histogram makes its bins + 1 edges with np.linspace, which counts them
+# in float64; numpy cannot even ask for an array of more than sys.maxsize
+# bytes, and within 64 edges of that limit the count rounds up past it
+_MAX_BINS = sys.maxsize // 16
 
 
 class ConfigError(ValueError):
@@ -86,12 +92,16 @@ class ExperimentSpec:
     record_every: int = 1
     seed: int = 0
     metric: str = "w2_gaussian"
-    reference: str = "closed_form"
-    benchmark: Optional[BenchmarkSpec] = None
+    benchmark: Optional[BenchmarkSpec] = None  # set for a benchmark_run reference
     init: InitSpec = field(default_factory=InitSpec)
     hist_lo: Optional[float] = None
     hist_hi: Optional[float] = None
     hist_bins: int = 50
+
+    @property
+    def reference(self) -> str:
+        """The reference type: "benchmark_run" when a benchmark is set, else "closed_form"."""
+        return "closed_form" if self.benchmark is None else "benchmark_run"
 
     def model(self) -> PotentialModel:
         return builtin_potential(self.potential_name, **self.potential_params)
@@ -267,7 +277,6 @@ def parse_config(text: str) -> ExperimentSpec:
     benchmark = None
     if ref_doc["type"] == "closed_form":
         _check_keys(ref_doc, {"type"}, "reference")
-        reference = "closed_form"
         # what the potential must provide for the closed form of each metric
         ok, needs = {
             "w2_gaussian": (model.quadratic_hessian is not None, "a quadratic potential"),
@@ -278,7 +287,6 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(f"reference.type closed_form with metric {metric} requires {needs}")
     elif ref_doc["type"] == "benchmark_run":
         _check_keys(ref_doc, {"type", "kind", "gamma", "step", "horizon", "chains"}, "reference")
-        reference = "benchmark_run"
         if metric == "chi2_hist":
             raise ConfigError("reference.type benchmark_run supports w2_gaussian and mean_error only")
         config = _sampler_config(
@@ -321,6 +329,8 @@ def parse_config(text: str) -> ExperimentSpec:
     bins = hist_doc.get("bins", 50)
     if not _integer(bins) or bins < 2:
         raise ConfigError("histogram.bins must be an integer >= 2")
+    if bins > _MAX_BINS:
+        raise ConfigError(f"histogram.bins must be at most {_MAX_BINS}: numpy cannot ask for the bin edges of more")
     lo, hi = hist_doc.get("lo"), hist_doc.get("hi")
     for key, value in (("lo", lo), ("hi", hi)):
         if value is not None and not finite_number(value):
@@ -338,7 +348,6 @@ def parse_config(text: str) -> ExperimentSpec:
         record_every=record_every,
         seed=seed,
         metric=metric,
-        reference=reference,
         benchmark=benchmark,
         init=init,
         hist_lo=None if lo is None else float(lo),
@@ -514,7 +523,7 @@ def _run_group(
     dim = model.dim
     grad = model.grad
     rows_model = dataclasses.replace(model, grad=lambda q: grad(q.reshape(-1, dim)).reshape(q.shape))
-    # the start and its observation overflow as the loop's steps do: into a
+    # the start and the observations overflow as the steps do: into a
     # divergence or a non-finite metric, never into a warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -523,15 +532,14 @@ def _run_group(
         except (MemoryError, ValueError, OSError) as exc:  # numpy or mmap cannot allocate, or even ask for, the arrays
             too_large = too_large or f"chains and potential.params.d are too large for a block of {n} chains"
             raise ConfigError(f"{too_large}: {exc}") from exc
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        try:
             observe(0, state.q)
-        for k, state in iterate_chain(state, make_stepper(rows_model, config), steps, noise):
-            observe(k, state.q)
-    except DivergenceError as exc:
-        return exc.step
-    finally:
-        noise.close()
+            for k, state in iterate_chain(state, make_stepper(rows_model, config), steps, noise):
+                observe(k, state.q)
+        except DivergenceError as exc:
+            return exc.step
+        finally:
+            noise.close()
     return None
 
 
@@ -634,6 +642,8 @@ def _chi2_value(spec, reference, x) -> float:
         hi = mu + 6.0 * sd if hi is None else hi
     try:
         return chi2_histogram(x, reference, lo, hi, spec.hist_bins)
+    except MemoryError as exc:
+        raise ConfigError(f"histogram.bins is too large: {exc}") from exc
     except ValueError:
         # a bin holds samples where the target's mass underflows to 0, or
         # the samples overflow the range: the divergence is infinite
@@ -800,8 +810,12 @@ class _SharedSlab:
     """
 
     def __init__(self, source: RandomSource, shape: tuple):
+        # perfbench's tracer reads the seed of the noise a sweep stepper is
+        # handed; without it the traced iter-sweep run exits 1
         self.seed = source.seed
         self._source = source
+        # from malloc, not _mapped_empty: with an mmap'd slab perfbench's
+        # iter-sweep job took about 30% longer on 2 vCPUs
         self._slab = np.empty(shape)
         self._view = self._slab.view()
         self._view.flags.writeable = False
@@ -829,7 +843,9 @@ def sweep_iteration_complexity(
     For each alpha the (gamma, h) grid is scanned for the first-hit step
     count; divergent combinations are excluded.  The scan is repeated over
     seeds and the per-seed minima are summarized by mean and standard
-    deviation.  An all-divergent alpha reports infinity.
+    deviation; a seed with no hit is left out of the mean.  The row's
+    (gamma, h) is the winner of the first seed, in ``seeds`` order, that
+    hits.  An alpha with no hit on any seed reports infinity.
 
     The pairs of one (alpha, seed) advance in lockstep, one step at a time
     in grid order (gamma outer, h inner), on one noise slab of the stream
@@ -855,14 +871,8 @@ def sweep_iteration_complexity(
         if steppers and np.linalg.norm(state.q.mean(axis=0) - target) <= eps:
             return 0, 0
         slab = _SharedSlab(RandomSource(seed, 0), (KERNELS["hfhr_strang"].draws,) + state.q.shape)
-        # each chain holds iterate_chain's errstate across its yields; closing
-        # them all inside one outer errstate puts the caller's state back
-        # whatever order they leave in
-        with np.errstate(over="ignore", invalid="ignore"), ExitStack() as stack:
-            live = [
-                (i, stack.enter_context(closing(iterate_chain(state, stepper, cap, slab))))
-                for i, stepper in enumerate(steppers)
-            ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            live = [(i, iterate_chain(state, stepper, cap, slab)) for i, stepper in enumerate(steppers)]
             for _ in range(cap):  # every live pair steps once a pass, up to the cap
                 if not live:
                     break
@@ -889,8 +899,7 @@ def sweep_iteration_complexity(
             table.append(SweepRow(alpha=float(alpha), best_gamma=None, best_step=None,
                                   iterations_mean=math.inf, iterations_std=math.inf))
         else:
-            winner = hits[0][1]
-            best_gamma, best_step = combos[winner] if winner is not None else (None, None)
+            best_gamma, best_step = combos[next(i for k, i in hits if k is not None)]
             arr = np.array(finite, dtype=float)
             table.append(
                 SweepRow(

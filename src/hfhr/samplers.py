@@ -313,15 +313,17 @@ def iterate_chain(state: ChainState, stepper, steps: int, rng) -> Iterator[tuple
 
     Any non-finite coordinate raises a DivergenceError naming the step;
     stability-limit experiments probe blow-up on purpose.  Blow-up is
-    detected here, so numpy's overflow warnings are silenced while the loop
-    (the caller's body included) runs.
+    detected here, so numpy's overflow warnings are silenced inside each
+    stepper call, and only there: nothing is held across a yield, so chains
+    may be interleaved and ended in any order.  A caller whose own
+    arithmetic on the states may overflow sets its errstate around its loop.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
+    for k in range(1, steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
             state = stepper(state, rng)
-            if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
-                raise DivergenceError(k)
-            yield k, state
+        if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
+            raise DivergenceError(k)
+        yield k, state
 
 
 def simulate_chain(
@@ -334,17 +336,19 @@ def simulate_chain(
 ) -> ChainState:
     """Apply the configured kernel ``steps`` times.
 
-    The observer is invoked after each step with (index, state); a
-    DivergenceError from ``iterate_chain`` propagates.
+    The observer is invoked after each step with (index, state), with
+    numpy's overflow warnings silenced as in the step; a DivergenceError
+    from ``iterate_chain`` propagates.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if np.shape(init.q)[-1] != model.dim:
         raise ValueError("state dimension does not match the potential")
     state = init
-    for k, state in iterate_chain(init, make_stepper(model, config), steps, rng):
-        if observer is not None:
-            observer(k, state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, state in iterate_chain(init, make_stepper(model, config), steps, rng):
+            if observer is not None:
+                observer(k, state)
     return state
 
 

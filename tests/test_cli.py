@@ -345,6 +345,25 @@ class TestExperiment:
         )
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("bins", [10**12, 2**63 - 1, 10**29, 2**62], ids=["1e12", "2^63-1", "1e29", "2^62"])
+    def test_histogram_bins_too_many_to_allocate_is_config_error(self, tmp_path, capsys, bins):
+        # 1e12 bins parse and fail to allocate their edges; numpy cannot even
+        # ask for the edges of the others
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "u", "kind": "uld_klmc", "gamma": 2.0, "step": 0.1}],
+            "chains": 2,
+            "steps": 1,
+            "metric": "chi2_hist",
+            "histogram": {"bins": bins},
+        }
+        cfg = tmp_path / "bins.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(tmp_path / "o"), "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: histogram.bins ")
+        assert "Traceback" not in err
+
     def test_single_chain_is_config_error(self, tmp_path, capsys):
         doc = {
             "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},

@@ -54,6 +54,12 @@ class TestParseConfig:
         assert spec.metric == "w2_gaussian"
         assert spec.reference == "closed_form"
 
+    def test_reference_type_follows_the_benchmark(self):
+        spec = parse_config(json.dumps(minimal_doc()))
+        assert dataclasses.replace(spec, benchmark=harness.BenchmarkSpec()).reference == "benchmark_run"
+        with pytest.raises(TypeError):
+            dataclasses.replace(spec, reference="benchmark_run")
+
     def test_steps_that_overflow_are_rejected(self):
         doc = minimal_doc(horizon=1e300)
         doc["sampler"].append({"id": "tiny", "kind": "ula", "step": 1e-10})
@@ -544,9 +550,10 @@ def serial_block(spec, model, config, steps, record_steps, stream, n, keep_sampl
     state = ChainState(q=q, p=p)
     sums = [snapshot(state.q)]
     try:
-        for k, state in iterate_chain(state, make_stepper(model, config), steps, rng):
-            if k in record_steps:
-                sums.append(snapshot(state.q))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, state in iterate_chain(state, make_stepper(model, config), steps, rng):
+                if k in record_steps:
+                    sums.append(snapshot(state.q))
     except DivergenceError as exc:
         return sums, exc.step
     return sums, None
@@ -858,9 +865,10 @@ def serial_pair_hit(model, config, seed, chains, limit, eps, init_q):
     if np.linalg.norm(state.q.mean(axis=0) - model.target_mean) <= eps:
         return 0
     try:
-        for k, state in iterate_chain(state, make_stepper(model, config), limit, RandomSource(seed, 0)):
-            if np.linalg.norm(state.q.mean(axis=0) - model.target_mean) <= eps:
-                return k
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, state in iterate_chain(state, make_stepper(model, config), limit, RandomSource(seed, 0)):
+                if np.linalg.norm(state.q.mean(axis=0) - model.target_mean) <= eps:
+                    return k
     except DivergenceError:
         return "diverged"
     return None
@@ -868,22 +876,22 @@ def serial_pair_hit(model, config, seed, chains, limit, eps, init_q):
 
 def serial_sweep(model, alphas, gammas, steps_grid, eps, chains, seeds, cap, init_q):
     """The sweep one pair at a time, in grid order, each pair capped at the
-    best count so far; a later pair wins only with strictly fewer steps."""
+    best count so far; a later pair wins only with strictly fewer steps.
+    The row names the winner of the first seed, in ``seeds`` order, that hits."""
     table = []
     for alpha in alphas:
         per_seed, best_combo = [], None
         for seed in seeds:
-            best = None
+            best, combo = None, None
             for gamma in gammas:
                 for h in steps_grid:
                     config = SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=alpha)
                     limit = cap if best is None else min(cap, best)
                     k = serial_pair_hit(model, config, seed, chains, limit, eps, init_q)
                     if isinstance(k, int) and (best is None or k < best):
-                        best = k
-                        if seed == seeds[0]:
-                            best_combo = (float(gamma), float(h))
+                        best, combo = k, (float(gamma), float(h))
             per_seed.append(best)
+            best_combo = best_combo or combo
         finite = np.array([k for k in per_seed if k is not None], dtype=float)
         if finite.size == 0:
             table.append(harness.SweepRow(float(alpha), None, None, math.inf, math.inf))
@@ -929,9 +937,19 @@ class TestSweep:
             assert [row.iterations_mean for row in expected] == [0.0, 0.0]
             assert (expected[0].best_gamma, expected[0].best_step) == (1.0, 0.5)
 
+    def test_a_finite_row_names_the_winner_of_the_first_seed_that_hits(self):
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        config = SamplerConfig("hfhr_strang", 0.5, 2.0, 0.5)
+        # seed 1 neither hits nor diverges by the cap; seed 1001 hits at step 5
+        assert [serial_pair_hit(model, config, seed, 5, 6, 0.02, 1.0) for seed in (1, 1001)] == [None, 5]
+        kwargs = dict(eps=0.02, chains=5, seeds=(1, 1001), cap=6, init_q=1.0)
+        row = harness.SweepRow(alpha=0.5, best_gamma=2.0, best_step=0.5, iterations_mean=5.0, iterations_std=0.0)
+        assert serial_sweep(model, [0.5], [2.0], [0.5], **kwargs) == [row]
+        assert sweep_iteration_complexity(model, [0.5], [2.0], [0.5], **kwargs) == [row]
+
     def test_errstate_is_restored(self):
-        # each pair's loop holds its own errstate across yields; the sweep
-        # must hand back the caller's, however its pairs leave
+        # the sweep silences overflow around its lockstep loop and must hand
+        # back the caller's errstate, however its pairs leave
         model = builtin_potential("quadratic_iso", m=1.0, d=1)
         with np.errstate(over="warn", invalid="warn"):
             before = np.geterr()

@@ -531,6 +531,22 @@ class TestIterateChain:
         assert seen == [1, 2, 3]
         assert list(iterate_chain(init, step, 0, RandomSource(0, 0))) == []
 
+    @pytest.mark.parametrize("end", ["close", "exhaust"])
+    def test_interleaved_chains_ended_in_start_order_keep_the_errstate(self, end):
+        step = make_stepper(F1, SamplerConfig(kind="ula", step=0.1))
+        init = ChainState(q=np.array([1.0]), p=np.array([0.0]))
+        with np.errstate(over="warn", invalid="warn"):
+            before = np.geterr()
+            chains = [iterate_chain(init, step, 2, RandomSource(0, stream)) for stream in (0, 1)]
+            for chain in chains:  # stepped in turn
+                next(chain)
+            for chain in chains:  # and ended in the order they started
+                if end == "close":
+                    chain.close()
+                else:
+                    assert [k for k, _ in chain] == [2]
+            assert np.geterr() == before
+
 
 class TestRandomSource:
     def test_same_seed_same_stream(self):
