@@ -11,15 +11,12 @@ from .samplers import (
     ChainState,
     DivergenceError,
     SamplerConfig,
-    em_hfhr_step,
-    hfhr_step,
+    make_stepper,
     phi_covariance,
     phi_half_step,
     phi_kernel,
     psi_tilde_step,
     simulate_chain,
-    ula_step,
-    uld_step,
 )
 from .analysis import (
     AffineGaussianMap,

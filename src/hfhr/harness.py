@@ -74,9 +74,7 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    kind: str = "uld_klmc"
-    gamma: float = 2.0
-    step: float = 0.0005
+    config: SamplerConfig = SamplerConfig("uld_klmc", step=0.0005, gamma=2.0)
     horizon: Optional[float] = None  # defaults to 10x the experiment horizon
     chains: Optional[int] = None
 
@@ -291,9 +289,9 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError("reference.type benchmark_run supports w2_gaussian and mean_error only")
         config = _sampler_config(
             "reference",
-            kind=ref_doc.get("kind", BenchmarkSpec.kind),
-            step=ref_doc.get("step", BenchmarkSpec.step),
-            gamma=ref_doc.get("gamma", BenchmarkSpec.gamma),
+            kind=ref_doc.get("kind", BenchmarkSpec.config.kind),
+            step=ref_doc.get("step", BenchmarkSpec.config.step),
+            gamma=ref_doc.get("gamma", BenchmarkSpec.config.gamma),
         )
         ref_horizon = ref_doc.get("horizon")
         if ref_horizon is not None and not _positive_number(ref_horizon):
@@ -301,9 +299,7 @@ def parse_config(text: str) -> ExperimentSpec:
         ref_chains = ref_doc.get("chains")
         if ref_chains is not None and (not _integer(ref_chains) or not 1 <= ref_chains <= max_chains):
             raise ConfigError(f"reference.chains must be a positive integer at most {max_chains}, as chains")
-        benchmark = BenchmarkSpec(
-            kind=config.kind, gamma=config.gamma, step=config.step, horizon=ref_horizon, chains=ref_chains
-        )
+        benchmark = BenchmarkSpec(config, horizon=ref_horizon, chains=ref_chains)
     else:
         raise ConfigError("reference.type must be 'closed_form' or 'benchmark_run'")
 
@@ -354,7 +350,7 @@ def parse_config(text: str) -> ExperimentSpec:
         hist_hi=None if hi is None else float(hi),
         hist_bins=bins,
     )
-    if benchmark is not None and not math.isfinite(spec.reference_horizon() / benchmark.step):
+    if benchmark is not None and not math.isfinite(spec.reference_horizon() / benchmark.config.step):
         raise ConfigError("reference.horizon: its ratio to reference.step overflows "
                           "(an unset reference.horizon is 10 x horizon)")
     for key in ("q", "p"):
@@ -565,9 +561,9 @@ def _benchmark_key(spec: ExperimentSpec) -> str:
         "format": BENCHMARK_CACHE_FORMAT,
         "potential": [spec.potential_name, spec.potential_params],
         "benchmark": [
-            spec.benchmark.kind,
-            spec.benchmark.gamma,
-            spec.benchmark.step,
+            spec.benchmark.config.kind,
+            spec.benchmark.config.gamma,
+            spec.benchmark.config.step,
             spec.reference_horizon(),
             spec.benchmark.chains or spec.chains,
         ],
@@ -593,8 +589,7 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
 
     bench = spec.benchmark
     chains = bench.chains or spec.chains
-    config = SamplerConfig(kind=bench.kind, step=bench.step, gamma=bench.gamma, alpha=0.0)
-    steps = max(1, int(round(spec.reference_horizon() / bench.step)))
+    steps = max(1, int(round(spec.reference_horizon() / bench.config.step)))
     start = steps // 2
     acc_q = np.zeros(model.dim)
     acc_qq = np.zeros((model.dim, model.dim))
@@ -605,7 +600,7 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
             acc_q += q[0].mean(axis=0)
             acc_qq += q[0].T @ q[0] / chains
 
-    diverged = _run_group(spec, model, config, steps, [_REFERENCE_STREAM], chains, accumulate, noise_pool,
+    diverged = _run_group(spec, model, bench.config, steps, [_REFERENCE_STREAM], chains, accumulate, noise_pool,
                           "reference.chains is too large")
     if diverged is not None:
         raise ConfigError(f"reference run diverged at step {diverged}")
@@ -629,7 +624,8 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
     return summary
 
 
-def _chi2_value(spec, reference, x) -> float:
+def _chi2_value(spec, reference, x, k) -> float:
+    """The chi2_hist value of record step ``k``'s pooled samples ``x``."""
     lo = spec.hist_lo
     hi = spec.hist_hi
     if lo is None or hi is None:
@@ -640,6 +636,14 @@ def _chi2_value(spec, reference, x) -> float:
             sd = 1.0 / 6.0
         lo = mu - 6.0 * sd if lo is None else lo
         hi = mu + 6.0 * sd if hi is None else hi
+        # one bound given: the automatic one must lie beyond it, unless it
+        # overflowed on the way to a blow-up (an inf value below)
+        if spec.hist_hi is None and spec.hist_lo is not None and math.isfinite(hi) and not hi > lo:
+            raise ConfigError(f"histogram.lo = {lo:g} is not below the automatic upper bound {hi:g} "
+                              f"at record step {k}; give histogram.hi too")
+        if spec.hist_lo is None and spec.hist_hi is not None and math.isfinite(lo) and not hi > lo:
+            raise ConfigError(f"histogram.hi = {hi:g} is not above the automatic lower bound {lo:g} "
+                              f"at record step {k}; give histogram.lo too")
     try:
         return chi2_histogram(x, reference, lo, hi, spec.hist_bins)
     except MemoryError as exc:
@@ -761,7 +765,8 @@ def run_experiment(
             with np.errstate(over="ignore", invalid="ignore"):
                 if keep_samples:
                     values = [
-                        _chi2_value(spec, reference, np.concatenate([r[i] for r in group_records]).ravel())
+                        _chi2_value(spec, reference, np.concatenate([r[i] for r in group_records]).ravel(),
+                                    min(i * spec.record_every, steps))
                         for i in range(records)
                     ]
                     stderrs = [None] * records

@@ -293,21 +293,6 @@ def make_stepper(
     return KERNELS[config.kind].factory(model, config)
 
 
-def _single_step(factory):
-    def step(state: ChainState, model: PotentialModel, config: SamplerConfig, rng) -> ChainState:
-        if KERNELS[config.kind].factory is not factory:
-            raise ValueError(f"kind '{config.kind}' is not the kind of this kernel")
-        return factory(model, config)(state, rng)
-
-    return step
-
-
-hfhr_step = _single_step(_hfhr_strang)
-uld_step = _single_step(_uld_klmc)
-ula_step = _single_step(_ula)
-em_hfhr_step = _single_step(_hfhr_em)
-
-
 def iterate_chain(state: ChainState, stepper, steps: int, rng) -> Iterator[tuple[int, ChainState]]:
     """Apply ``stepper`` ``steps`` times, yielding (index, state) after each.
 
@@ -365,10 +350,6 @@ __all__ = [
     "phi_kernel",
     "phi_half_step",
     "psi_tilde_step",
-    "hfhr_step",
-    "uld_step",
-    "ula_step",
-    "em_hfhr_step",
     "make_stepper",
     "iterate_chain",
     "simulate_chain",

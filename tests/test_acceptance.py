@@ -39,7 +39,6 @@ from hfhr.rng import RandomSource
 from hfhr.samplers import (
     ChainState,
     SamplerConfig,
-    hfhr_step,
     make_stepper,
     phi_covariance,
     phi_half_step,
@@ -364,7 +363,7 @@ def test_criterion_8_kernel_oracles():
     model = builtin_potential("quadratic_iso", m=1.0, d=3)
     config = SamplerConfig(kind="hfhr_strang", step=0.3, gamma=2.0, alpha=1.0)
     state = ChainState(q=np.array([0.5, -0.2, 1.0]), p=np.array([0.1, 0.0, -1.0]))
-    direct = hfhr_step(state, model, config, RandomSource(5, 0))
+    direct = make_stepper(model, config)(state, RandomSource(5, 0))
     rng = RandomSource(5, 0)
     kern = phi_kernel(2.0, 0.15)
     manual = phi_half_step(

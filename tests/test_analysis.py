@@ -28,7 +28,7 @@ from hfhr.analysis import (
 )
 from hfhr.metrics import w2_gaussian
 from hfhr.rng import RandomSource
-from hfhr.samplers import ChainState, SamplerConfig, hfhr_step
+from hfhr.samplers import ChainState, SamplerConfig, make_stepper
 from hfhr.potentials import builtin_potential
 
 
@@ -327,10 +327,8 @@ class TestStepAffineMap:
         config = SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=alpha)
         amap = step_affine_map("hfhr_strang", [[1.0]], alpha, gamma, h)
         x0 = np.array([1.0, 0.0])
-        out = hfhr_step(
+        out = make_stepper(model, config)(
             ChainState(q=np.full((n, 1), x0[0]), p=np.full((n, 1), x0[1])),
-            model,
-            config,
             RandomSource(123, 0),
         )
         X = np.stack([out.q[:, 0], out.p[:, 0]], axis=1)

@@ -364,6 +364,37 @@ class TestExperiment:
         assert err.startswith("error: histogram.bins ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"lo": 5.0}, r"histogram\.lo = 5 is not below the automatic upper bound 0\.58\d* at record step 0; "
+                          r"give histogram\.hi too"),
+            ({"hi": -5.0}, r"histogram\.hi = -5 is not above the automatic lower bound -0\.57\d* at record step 0; "
+                           r"give histogram\.lo too"),
+        ],
+        ids=["lo", "hi"],
+    )
+    def test_one_histogram_bound_beyond_the_samples_is_config_error(self, tmp_path, capsys, given, message):
+        # the automatic other bound (mean +- 6 sd, about +-0.6 here) does not
+        # lie beyond the given one, so no range holds the bins
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [{"id": "u", "kind": "uld_klmc", "gamma": 2.0, "step": 0.1}],
+            "chains": 2000,
+            "steps": 4,
+            "record_every": 1,
+            "metric": "chi2_hist",
+            "init": {"q": 0.0, "q_std": 0.1},
+            "histogram": given,
+        }
+        cfg = tmp_path / "range.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(out_dir), "--format", "csv")
+        assert (code, out) == (2, "")
+        assert re.fullmatch("error: " + message + "\n", err), err
+        assert not (out_dir / "results.csv").exists()
+
     def test_single_chain_is_config_error(self, tmp_path, capsys):
         doc = {
             "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},

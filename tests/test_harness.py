@@ -419,6 +419,15 @@ class TestRunExperiment:
         series = run_experiment(parse_config(json.dumps(doc)))
         assert [r.step for r in series.rows] == [0, 1, 2]
 
+    @pytest.mark.parametrize("given", [{"lo": -5.0}, {"hi": 5.0}], ids=["lo", "hi"])
+    def test_one_bound_and_an_overflowed_automatic_bound_give_inf(self, given):
+        # the pooled spread overflows on the way to a blow-up: the automatic
+        # bound is infinite, so the record's divergence is too
+        spec = parse_config(json.dumps(minimal_doc(metric="chi2_hist", histogram=given)))
+        density = harness._target_density_1d(spec.model())
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert harness._chi2_value(spec, density, np.array([1e308, -1e308]), 0) == math.inf
+
     def test_record_steps_are_decided_by_arithmetic(self, monkeypatch):
         # no list or set of every record step is built before the first step
         class FirstGroup(Exception):

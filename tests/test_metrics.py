@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hfhr.analysis import GaussianSummary
+from hfhr.potentials import builtin_potential
+from hfhr import harness, metrics
 from hfhr.metrics import (
-    HistogramDensity,
     chi2_gaussian_1d,
     chi2_histogram,
     empirical_moments,
@@ -231,11 +232,107 @@ class TestChi2Histogram:
         v2 = chi2_histogram(a * samples + b, scaled_density, a * -5.0 + b, a * 5.0 + b, 50)
         assert v2 == pytest.approx(v1, rel=1e-10)
 
-    def test_histogram_density_invariants(self):
-        h = HistogramDensity.from_samples(np.random.default_rng(6).standard_normal(1000), -4, 4, 10)
-        assert h.masses.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            HistogramDensity(lo=0, hi=1, bins=1, counts=np.array([1]))
+    def test_needs_two_bins(self):
+        with pytest.raises(ValueError, match="bins must be >= 2"):
+            chi2_histogram(np.zeros(10), std_normal_pdf, -1.0, 1.0, 1)
+
+
+def chi2_histogram_per_bin(samples, target_density, lo, hi, bins):
+    """The per-bin reference: one density call on 32 midpoints per bin, and the
+    terms added to a float one bin at a time."""
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
+    if not hi > lo:
+        raise ValueError("need hi > lo")
+    counts, _ = np.histogram(np.clip(np.asarray(samples, dtype=float), lo, hi), bins=bins, range=(lo, hi))
+    if counts.sum() == 0:
+        raise ValueError("empty histogram")
+    p_hat = counts / counts.sum()
+    width = (hi - lo) / bins
+    sub = (np.arange(32) + 0.5) / 32.0
+    total = 0.0
+    for j in range(bins):
+        q_j = float(np.mean(target_density(lo + (j + sub) * width)) * width)
+        if q_j <= 0.0:
+            if p_hat[j] > 0.0:
+                raise ValueError(f"target mass vanishes in nonempty bin {j}")
+            continue
+        total += (p_hat[j] - q_j) ** 2 / q_j
+    return total
+
+
+def outcome(chi2, *args):
+    """chi2's value, or the message of its ValueError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return chi2(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestChi2HistogramMatchesPerBinLoop:
+    """chi2_histogram's chunked masses give the per-bin loop's bits."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_BIN_CHUNK", 7)
+
+    @staticmethod
+    def one_dimensional(density, seen):
+        def wrapped(xs):
+            seen.add(np.ndim(xs))
+            return density(xs)
+
+        return wrapped
+
+    @pytest.mark.parametrize("name", ["quartic", "perturbed", "bimodal", "quadratic_iso"])
+    def test_builtin_densities(self, name):
+        density = harness._target_density_1d(builtin_potential(name))
+        rng = np.random.default_rng(sum(map(ord, name)))
+        seen = set()
+        for bins in [2, 3, 7, 8, 50, 3000, *rng.integers(2, 3001, size=8)]:
+            lo = float(rng.uniform(-6.0, 0.0))
+            hi = lo + float(rng.uniform(0.5, 10.0))
+            x = rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 2.0), size=int(rng.integers(1, 3000)))
+            args = (x, self.one_dimensional(density, seen), lo, hi, int(bins))
+            assert outcome(chi2_histogram, *args) == outcome(chi2_histogram_per_bin, *args), (bins, lo, hi)
+        assert seen == {1}
+
+    def test_squares_as_the_loop_does(self):
+        # x * x and a float's ** 2 (C pow) differ in the last bit about once
+        # in 1000 terms; a few of these 2000 cases carry that to the sum
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            bins, n = int(rng.integers(2, 9)), int(rng.integers(2, 60))
+            x = rng.uniform(0.0, 1.0, n)
+            slope = rng.uniform(0.5, 2.0)
+            args = (x, lambda t: 1.0 + slope * (t - 0.5), 0.0, 1.0, bins)
+            assert chi2_histogram(*args) == chi2_histogram_per_bin(*args), seed
+
+    def test_a_constant_density_may_return_a_scalar(self):
+        x = np.random.default_rng(7).uniform(0.0, 4.0, 500)
+        args = (x, lambda t: 0.25, 0.0, 4.0, 30)
+        assert chi2_histogram(*args) == chi2_histogram_per_bin(*args)
+
+    def test_the_first_nonempty_bin_without_mass_is_named(self):
+        density = lambda x: np.where(np.asarray(x) < 10.0, 0.05, 0.0)
+        seen = set()
+        x = np.array([0.5, 9.5, 12.5, 15.5])  # bins 0, 9, 12 and 15 of 20
+        args = (x, self.one_dimensional(density, seen), 0.0, 20.0, 20)
+        assert outcome(chi2_histogram, *args) == outcome(chi2_histogram_per_bin, *args)
+        assert outcome(chi2_histogram, *args) == "target mass vanishes in nonempty bin 12"
+        assert seen == {1}
+
+    def test_every_error_is_kept(self):
+        for args in [
+            (np.zeros(5), std_normal_pdf, -1.0, 1.0, 1),
+            (np.zeros(5), std_normal_pdf, 1.0, 1.0, 10),
+            (np.zeros(5), std_normal_pdf, 1.0, -1.0, 10),
+            (np.zeros(0), std_normal_pdf, -1.0, 1.0, 10),
+        ]:
+            expected = outcome(chi2_histogram_per_bin, *args)
+            assert isinstance(expected, str)
+            assert outcome(chi2_histogram, *args) == expected
 
 
 class TestChi2Gaussian1d:

@@ -18,8 +18,6 @@ from hfhr.samplers import (
     ChainState,
     DivergenceError,
     SamplerConfig,
-    em_hfhr_step,
-    hfhr_step,
     iterate_chain,
     make_stepper,
     phi_covariance,
@@ -27,8 +25,6 @@ from hfhr.samplers import (
     phi_kernel,
     psi_tilde_step,
     simulate_chain,
-    ula_step,
-    uld_step,
 )
 
 F1 = builtin_potential("quadratic_iso", m=1.0, d=1)
@@ -206,7 +202,7 @@ class TestHfhrStep:
         config = SamplerConfig(kind="hfhr_strang", step=0.5, gamma=2.0, alpha=1.0)
         state = ChainState(q=np.array([0.3, -1.0]), p=np.array([0.2, 0.7]))
         model = builtin_potential("quadratic_iso", m=1.0, d=2)
-        out = hfhr_step(state, model, config, RandomSource(42, 0))
+        out = make_stepper(model, config)(state, RandomSource(42, 0))
         k = phi_kernel(2.0, 0.25)
         rng2 = RandomSource(42, 0)
         s = phi_half_step(state, k, rng2)
@@ -224,7 +220,7 @@ class TestHfhrStep:
         )
         config = SamplerConfig(kind="hfhr_strang", step=0.4, gamma=3.0, alpha=0.0)
         state = ChainState(q=np.array([1.0]), p=np.array([2.0]))
-        out = hfhr_step(state, const, config, ZeroNoise())
+        out = make_stepper(const, config)(state, ZeroNoise())
         k = phi_kernel(3.0, 0.2)
         expect = phi_half_step(phi_half_step(state, k, ZeroNoise()), k, ZeroNoise())
         np.testing.assert_allclose(out.q, expect.q, rtol=1e-15)
@@ -239,7 +235,7 @@ class TestHfhrStep:
         rng = RandomSource(77, 0)
         x0 = np.array([1.0, -0.5])
         state = ChainState(q=np.full((n, 1), x0[0]), p=np.full((n, 1), x0[1]))
-        out = hfhr_step(state, F1, config, rng)
+        out = make_stepper(F1, config)(state, rng)
         _assert_affine_gaussian_moments(out, amap, x0, n)
 
 
@@ -268,7 +264,7 @@ class TestUldStep:
         config = SamplerConfig(kind="uld_klmc", step=0.3, gamma=2.0)
         n = 10**5
         rng = RandomSource(3, 0)
-        out = uld_step(ChainState(q=np.zeros((n, 1)), p=np.zeros((n, 1))), const, config, rng)
+        out = make_stepper(const, config)(ChainState(q=np.zeros((n, 1)), p=np.zeros((n, 1))), rng)
         cov = phi_covariance(2.0, 0.3)
         X = np.stack([out.q[:, 0], out.p[:, 0]], axis=1)
         emp = X.T @ X / n
@@ -286,7 +282,7 @@ class TestUldStep:
         expect_q = q0 + c1 * p0 - c2 * g
         expect_p = math.exp(-gamma * h) * p0 - c1 * g
         config = SamplerConfig(kind="uld_klmc", step=h, gamma=gamma)
-        out = uld_step(ChainState(q=np.array([q0]), p=np.array([p0])), F1, config, ZeroNoise())
+        out = make_stepper(F1, config)(ChainState(q=np.array([q0]), p=np.array([p0])), ZeroNoise())
         assert out.q[0] == pytest.approx(expect_q, abs=1e-14)
         assert out.p[0] == pytest.approx(expect_p, abs=1e-14)
 
@@ -295,7 +291,7 @@ class TestUldStep:
         # (h - c1) / gamma cancels as gamma h -> 0 (to 0 below gamma h ~ 1e-16);
         # the limit is q + h p - h^2 / 2 g, p - h g
         h, q0, p0 = 0.1, 1.0, 0.5
-        out = uld_step(ChainState(q=np.array([q0]), p=np.array([p0])), F1, SamplerConfig("uld_klmc", h, gamma), ZeroNoise())
+        out = make_stepper(F1, SamplerConfig("uld_klmc", h, gamma))(ChainState(q=np.array([q0]), p=np.array([p0])), ZeroNoise())
         assert out.q[0] == pytest.approx(q0 + h * p0 - 0.5 * h * h * q0, rel=1e-6)
         assert out.p[0] == pytest.approx(p0 - h * q0, rel=1e-6)
 
@@ -313,9 +309,9 @@ class TestUldStep:
         config = SamplerConfig(kind="uld_klmc", step=h, gamma=gamma)
         amap = step_affine_map("uld_klmc", [[1.0]], 0.0, gamma, h)
         x0 = np.array([0.7, 0.3])
-        out = uld_step(
+        out = make_stepper(F1, config)(
             ChainState(q=np.full((n, 1), x0[0]), p=np.full((n, 1), x0[1])),
-            F1, config, RandomSource(11, 0),
+            RandomSource(11, 0),
         )
         _assert_affine_gaussian_moments(out, amap, x0, n)
 
@@ -330,12 +326,12 @@ class TestUlaStep:
         )
         config = SamplerConfig(kind="ula", step=0.25)
         n = 10**5
-        out = ula_step(ChainState(q=np.zeros((n, 1)), p=np.zeros((n, 1))), const, config, RandomSource(1, 0))
+        out = make_stepper(const, config)(ChainState(q=np.zeros((n, 1)), p=np.zeros((n, 1))), RandomSource(1, 0))
         assert out.q.var() == pytest.approx(2.0 * 0.25, rel=0.02)
 
     def test_contraction_factor(self):
         config = SamplerConfig(kind="ula", step=0.5)
-        out = ula_step(ChainState(q=np.array([1.0]), p=np.array([0.0])), F1, config, ZeroNoise())
+        out = make_stepper(F1, config)(ChainState(q=np.array([1.0]), p=np.array([0.0])), ZeroNoise())
         assert out.q[0] == pytest.approx(0.5, abs=1e-15)
         assert out.p[0] == 0.0
 
@@ -349,7 +345,7 @@ class TestUlaStep:
         h, n = 0.1, 10**5
         config = SamplerConfig(kind="ula", step=h)
         amap = step_affine_map("ula", [[1.0]], 0.0, 0.0, h)
-        out = ula_step(ChainState(q=np.full((n, 1), 2.0), p=np.zeros((n, 1))), F1, config, RandomSource(13, 0))
+        out = make_stepper(F1, config)(ChainState(q=np.full((n, 1), 2.0), p=np.zeros((n, 1))), RandomSource(13, 0))
         mean_expect = amap.T[0, 0] * 2.0
         se_m = math.sqrt(amap.Q[0, 0] / n)
         assert abs(out.q.mean() - mean_expect) < 4.0 * se_m
@@ -363,7 +359,7 @@ class TestEmHfhrStep:
         A = np.array([[1 - alpha * h, h], [-h, 1 - gamma * h]])
         x0 = np.array([0.4, -1.1])
         config = SamplerConfig(kind="hfhr_em", step=h, gamma=gamma, alpha=alpha)
-        out = em_hfhr_step(ChainState(q=x0[:1], p=x0[1:]), F1, config, ZeroNoise())
+        out = make_stepper(F1, config)(ChainState(q=x0[:1], p=x0[1:]), ZeroNoise())
         np.testing.assert_allclose(np.array([out.q[0], out.p[0]]), A @ x0, atol=1e-15)
 
     def test_two_steps_annihilate_with_alpha_gamma_plus_two(self):
@@ -371,16 +367,18 @@ class TestEmHfhrStep:
         alpha, h = gamma + 2.0, 1.0 / (1.0 + gamma)
         config = SamplerConfig(kind="hfhr_em", step=h, gamma=gamma, alpha=alpha)
         state = ChainState(q=np.array([0.83]), p=np.array([-2.4]))
+        step = make_stepper(F1, config)
         for _ in range(2):
-            state = em_hfhr_step(state, F1, config, ZeroNoise())
+            state = step(state, ZeroNoise())
         assert abs(state.q[0]) < 1e-14 and abs(state.p[0]) < 1e-14
 
     def test_nilpotent_alpha0_gamma2_h1(self):
         config = SamplerConfig(kind="hfhr_em", step=1.0, gamma=2.0, alpha=0.0)
         state = ChainState(q=np.array([1.0]), p=np.array([0.0]))
-        state = em_hfhr_step(state, F1, config, ZeroNoise())
+        step = make_stepper(F1, config)
+        state = step(state, ZeroNoise())
         assert (state.q[0], state.p[0]) == (1.0, -1.0)
-        state = em_hfhr_step(state, F1, config, ZeroNoise())
+        state = step(state, ZeroNoise())
         assert (state.q[0], state.p[0]) == (0.0, 0.0)
 
     def test_moments_match_affine_map(self):
@@ -388,9 +386,9 @@ class TestEmHfhrStep:
         config = SamplerConfig(kind="hfhr_em", step=h, gamma=gamma, alpha=alpha)
         amap = step_affine_map("hfhr_em", [[1.0]], alpha, gamma, h)
         x0 = np.array([1.0, 0.0])
-        out = em_hfhr_step(
+        out = make_stepper(F1, config)(
             ChainState(q=np.full((n, 1), x0[0]), p=np.full((n, 1), x0[1])),
-            F1, config, RandomSource(17, 0),
+            RandomSource(17, 0),
         )
         _assert_affine_gaussian_moments(out, amap, x0, n)
 
@@ -445,20 +443,8 @@ class TestSimulateChain:
 
 
 class TestRegistry:
-    PUBLIC = {"hfhr_strang": hfhr_step, "uld_klmc": uld_step, "ula": ula_step, "hfhr_em": em_hfhr_step}
-
     def test_kinds_come_from_the_registry(self):
-        assert KINDS == tuple(KERNELS) == tuple(self.PUBLIC)
-
-    def test_public_steps_match_built_steppers_bit_exact(self):
-        state = ChainState(q=np.array([[0.3, -1.0]]), p=np.array([[0.2, 0.7]]))
-        model = builtin_potential("quadratic_iso", m=1.0, d=2)
-        for kind, public in self.PUBLIC.items():
-            config = SamplerConfig(kind=kind, step=0.2, gamma=2.0, alpha=0.5)
-            a = public(state, model, config, RandomSource(5, 0))
-            b = make_stepper(model, config)(state, RandomSource(5, 0))
-            np.testing.assert_array_equal(a.q, b.q)
-            np.testing.assert_array_equal(a.p, b.p)
+        assert KINDS == tuple(KERNELS) == ("hfhr_strang", "uld_klmc", "ula", "hfhr_em")
 
     def test_each_step_draws_one_slab_of_its_kinds_draws(self):
         class Recording:
@@ -478,12 +464,6 @@ class TestRegistry:
             rng = Recording()
             make_stepper(model, SamplerConfig(kind=kind, step=0.2, gamma=2.0, alpha=0.5))(state, rng)
             assert rng.shapes == [(KERNELS[kind].draws, 3, 2)], kind
-
-    def test_public_step_rejects_other_kinds(self):
-        config = SamplerConfig(kind="ula", step=0.1)
-        state = ChainState(q=np.array([1.0]), p=np.array([0.0]))
-        with pytest.raises(ValueError, match="kind 'ula'"):
-            hfhr_step(state, F1, config, RandomSource(0, 0))
 
     def test_built_step_precomputes_its_kernel(self, monkeypatch):
         calls = {"phi": 0, "states": 0}
