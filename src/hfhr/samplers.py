@@ -20,17 +20,27 @@ Four kernels are provided:
     mean process analyzed in the spectral module); 2 normals per
     coordinate, position noise then momentum noise.
 
-All kernels are pure functions of (state, rng) and broadcast over leading
-axes of the state arrays, so a batch of chains steps as one call.  A step
-asks ``rng`` for its noise once, as one slab
-``rng.normals((draws,) + shape)`` of its kind's ``draws`` normals per
-coordinate, and reads ``z[0]``, ``z[1]``, ... in the order listed above.
-A ``RandomSource`` stream is flat, so that slab holds the numbers of the
-separate draws in turn; a caller that draws ahead may hand the step a
-prepared slab of that shape instead.  ``KERNELS`` maps each kind to the
-factory of its step and its ``draws``, ``make_stepper`` builds that step,
-and ``iterate_chain`` is the one loop that applies it and stops a chain
-that leaves the finite floats.
+A step is ``step(state, rng, out=None)``, and broadcasts over leading axes
+of the state arrays, so a batch of chains steps as one call.  It asks
+``rng`` for its noise once, as one slab ``rng.normals((draws,) + shape)``
+of its kind's ``draws`` normals per coordinate, and reads ``z[0]``,
+``z[1]``, ... in the order listed above.  A ``RandomSource`` stream is
+flat, so that slab holds the numbers of the separate draws in turn; a
+caller that draws ahead may hand the step a prepared slab of that shape
+instead, read-only if it likes: no step writes into its noise.
+
+A step writes its result into ``out``, a ``ChainState`` of float64 arrays
+of the state's shape, and returns it; with ``out=None`` it writes into two
+new arrays and leaves the input as it was.  ``out`` may be the input state
+itself, stepped in place: every kernel reads each input array before it
+overwrites it.  Any other ``out`` must share no memory with the input.
+Stepping in place needs a gradient that returns a new array, as every
+built-in potential's does.  Besides the gradient and a new ``out``, a
+step allocates one scratch array per call; it keeps no state between
+calls, so one step may serve many chains at once.  ``KERNELS`` maps each kind to the factory of
+its step and its ``draws``, ``make_stepper`` builds that step, and
+``iterate_chain`` is the one loop that applies it and stops a chain that
+leaves the finite floats.
 """
 
 from __future__ import annotations
@@ -165,14 +175,43 @@ def phi_kernel(gamma: float, t: float) -> PhiFlowKernel:
     )
 
 
-def _ou(q, p, kernel: PhiFlowKernel, z):
-    """The OU substep on the normal pair ``z[0]``, ``z[1]`` of each coordinate."""
+def _targets(state: ChainState, out: Optional[ChainState]) -> tuple:
+    """The pair a step writes, ``out`` or two new arrays, and one new scratch array, all of the state's shape."""
+    shape = np.shape(state.q)
+    if out is None:
+        out = ChainState(q=np.empty(shape), p=np.empty(shape))
+    return out, np.empty(shape)
+
+
+def _ou(q, p, kernel: PhiFlowKernel, z, out: ChainState, t) -> ChainState:
+    """The OU substep on the normal pair ``z[0]``, ``z[1]`` of each coordinate, into ``out``:
+    q + drift p + m00 z0 and decay p + m10 z0 + m11 z1."""
     m = kernel.chol
-    return q + kernel.drift * p + m[0, 0] * z[0], kernel.decay * p + m[1, 0] * z[0] + m[1, 1] * z[1]
+    out_q, out_p = out.q, out.p
+    np.multiply(p, kernel.drift, out=t)
+    np.add(q, t, out=out_q)
+    np.multiply(z[0], m[0, 0], out=t)
+    out_q += t
+    np.multiply(p, kernel.decay, out=out_p)
+    np.multiply(z[0], m[1, 0], out=t)
+    out_p += t
+    np.multiply(z[1], m[1, 1], out=t)
+    out_p += t
+    return out
 
 
-def _psi(q, p, g, eta, alpha: float, h: float, noise_scale: float):
-    return q - alpha * h * g + noise_scale * eta, p - h * g
+def _psi(q, p, g, eta, alpha: float, h: float, noise_scale: float, out: ChainState, t) -> ChainState:
+    """The flow's Euler step into ``out``: q - alpha h g + noise_scale eta and p - h g."""
+    # p first: g is read whole before out.q is written, so the fused step
+    # holds even for a gradient that returns a view of out.q
+    out_q = out.q
+    np.multiply(g, h, out=t)
+    np.subtract(p, t, out=out.p)
+    np.multiply(g, alpha * h, out=t)
+    np.subtract(q, t, out=out_q)
+    np.multiply(eta, noise_scale, out=t)
+    out_q += t
+    return out
 
 
 def phi_half_step(state: ChainState, kernel: PhiFlowKernel, rng) -> ChainState:
@@ -180,7 +219,8 @@ def phi_half_step(state: ChainState, kernel: PhiFlowKernel, rng) -> ChainState:
 
     The noise pairs (q_i, p_i) per coordinate i through the 2x2 factor.
     """
-    return ChainState(*_ou(state.q, state.p, kernel, rng.normals((2,) + np.shape(state.q))))
+    z = rng.normals((2,) + np.shape(state.q))
+    return _ou(state.q, state.p, kernel, z, *_targets(state, None))
 
 
 def psi_tilde_step(
@@ -195,7 +235,7 @@ def psi_tilde_step(
         raise ValueError("h must be > 0")
     g = model.grad(state.q)
     eta = rng.normals(np.shape(state.q))
-    return ChainState(*_psi(state.q, state.p, g, eta, alpha, h, math.sqrt(2.0 * alpha * h)))
+    return _psi(state.q, state.p, g, eta, alpha, h, math.sqrt(2.0 * alpha * h), *_targets(state, None))
 
 
 def _hfhr_strang(model: PotentialModel, config: SamplerConfig):
@@ -203,17 +243,13 @@ def _hfhr_strang(model: PotentialModel, config: SamplerConfig):
     alpha, h = config.alpha, config.step
     noise_scale = math.sqrt(2.0 * alpha * h)
 
-    def step(state, rng):
+    def step(state, rng, out=None):
         z = rng.normals((5,) + np.shape(state.q))
-        q, p = _ou(state.q, state.p, kernel, z[0:2])
-        # g stays referenced until the step returns: freed before the second
-        # OU substep, it leaves the heap top free, and glibc trims and
-        # re-faults it. At 1000 x 100 chains that is about 950 instead of
-        # 550 page faults per step on a slab refilled in place (1.7x in a
-        # run_experiment group); on a fresh RandomSource slab, none either way
-        g = model.grad(q)
-        q, p = _psi(q, p, g, z[2], alpha, h, noise_scale)
-        return ChainState(*_ou(q, p, kernel, z[3:5]))
+        out, t = _targets(state, out)
+        _ou(state.q, state.p, kernel, z[0:2], out, t)
+        g = model.grad(out.q)
+        _psi(out.q, out.p, g, z[2], alpha, h, noise_scale, out, t)
+        return _ou(out.q, out.p, kernel, z[3:5], out, t)
 
     return step
 
@@ -228,12 +264,27 @@ def _uld_klmc(model: PotentialModel, config: SamplerConfig):
     c2 = h * h * (0.5 - x / 6.0 + x * x / 24.0) if x < 1e-4 else (h - c1) / config.gamma
     m = kernel.chol
 
-    def step(state, rng):
+    def step(state, rng, out=None):
         g = model.grad(state.q)
         z = rng.normals((2,) + np.shape(state.q))
-        q = state.q + c1 * state.p - c2 * g + m[0, 0] * z[0]
-        p = kernel.decay * state.p - c1 * g + m[1, 0] * z[0] + m[1, 1] * z[1]
-        return ChainState(q=q, p=p)
+        out, t = _targets(state, out)
+        q, p = out.q, out.p
+        # q + c1 p - c2 g + m00 z0
+        np.multiply(state.p, c1, out=t)
+        np.add(state.q, t, out=q)
+        np.multiply(g, c2, out=t)
+        q -= t
+        np.multiply(z[0], m[0, 0], out=t)
+        q += t
+        # decay p - c1 g + m10 z0 + m11 z1
+        np.multiply(state.p, kernel.decay, out=p)
+        np.multiply(g, c1, out=t)
+        p -= t
+        np.multiply(z[0], m[1, 0], out=t)
+        p += t
+        np.multiply(z[1], m[1, 1], out=t)
+        p += t
+        return out
 
     return step
 
@@ -242,10 +293,18 @@ def _ula(model: PotentialModel, config: SamplerConfig):
     h = config.step
     noise_scale = math.sqrt(2.0 * h)
 
-    def step(state, rng):
+    def step(state, rng, out=None):
         g = model.grad(state.q)
         z = rng.normals((1,) + np.shape(state.q))
-        return ChainState(q=state.q - h * g + noise_scale * z[0], p=state.p)
+        out, t = _targets(state, out)
+        q = out.q
+        np.multiply(g, h, out=t)
+        np.subtract(state.q, t, out=q)
+        np.multiply(z[0], noise_scale, out=t)
+        q += t
+        if out.p is not state.p:
+            np.copyto(out.p, state.p)
+        return out
 
     return step
 
@@ -255,12 +314,26 @@ def _hfhr_em(model: PotentialModel, config: SamplerConfig):
     q_scale = math.sqrt(2.0 * alpha * h)
     p_scale = math.sqrt(2.0 * gamma * h)
 
-    def step(state, rng):
+    def step(state, rng, out=None):
         g = model.grad(state.q)
         z = rng.normals((2,) + np.shape(state.q))
-        q = state.q + (state.p - alpha * g) * h + q_scale * z[0]
-        p = state.p - (gamma * state.p + g) * h + p_scale * z[1]
-        return ChainState(q=q, p=p)
+        out, t = _targets(state, out)
+        q, p = out.q, out.p
+        # q + (p - alpha g) h + q_scale z0
+        np.multiply(g, alpha, out=t)
+        np.subtract(state.p, t, out=t)
+        t *= h
+        np.add(state.q, t, out=q)
+        np.multiply(z[0], q_scale, out=t)
+        q += t
+        # p - (gamma p + g) h + p_scale z1
+        np.multiply(state.p, gamma, out=t)
+        t += g
+        t *= h
+        np.subtract(state.p, t, out=p)
+        np.multiply(z[1], p_scale, out=t)
+        p += t
+        return out
 
     return step
 
@@ -275,8 +348,8 @@ class Kernel(NamedTuple):
 
 
 # kind -> factory that precomputes the kernel's constants once and returns
-# its (state, rng) -> state step, and its draws; every step makes exactly one
-# gradient call and one rng.normals((draws,) + shape) call
+# its (state, rng, out=None) -> state step, and its draws; every step makes
+# exactly one gradient call and one rng.normals((draws,) + shape) call
 KERNELS = {
     "hfhr_strang": Kernel(_hfhr_strang, 5, 0.5),
     "uld_klmc": Kernel(_uld_klmc, 2, 1.0),
@@ -289,7 +362,7 @@ KINDS = tuple(KERNELS)
 def make_stepper(
     model: PotentialModel, config: SamplerConfig
 ) -> Callable[[ChainState, object], ChainState]:
-    """Bind model and config into the kind's precomputed (state, rng) -> state step."""
+    """Bind model and config into the kind's precomputed (state, rng, out=None) -> state step."""
     return KERNELS[config.kind].factory(model, config)
 
 

@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 
@@ -693,6 +694,25 @@ SMALL_POTENTIALS = {
     "rosenbrock2d": {},
     "coupled_logcosh": {"d": 3, "shift": 1.0},
 }
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_group_steps_its_state_in_place(kind):
+    """A (1, 1000, 100) group holds its state, one scratch array and the
+    gradient, and observe sees the same positions array at every step."""
+    model = builtin_potential("quadratic_aniso", m=1.0, kappa=4.0, d=100)
+    spec = parse_config(json.dumps(minimal_doc(potential={"name": model.name, "params": {"m": 1.0, "kappa": 4.0, "d": 100}},
+                                               chains=1000)))
+    config = SamplerConfig(kind=kind, step=0.1, gamma=2.0, alpha=1.0)
+    pointers = []
+    tracemalloc.start()
+    try:
+        assert harness._run_group(spec, model, config, 20, [0], 1000, lambda k, q: pointers.append(q.ctypes.data)) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pointers) == 21 and len(set(pointers)) == 1
+    assert peak <= 4.25 * (1000 * 100 * 8), peak / (1000 * 100 * 8)
 
 
 class TestStackedBlocks:

@@ -9,6 +9,7 @@ import pytest
 
 import hfhr
 from hfhr.potentials import (
+    POTENTIALS,
     PotentialModel,
     builtin_potential,
     gradient_check,
@@ -122,6 +123,17 @@ def test_gradients_match_finite_differences(name, params):
     model = builtin_potential(name, **params)
     report = gradient_check(model, 50, 1e-4, seed=1)
     assert report.passed, f"{name}: max rel err {report.max_rel_error}"
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_gradient_is_a_new_array(name):
+    # a group steps its state in place, which needs a gradient that shares
+    # no memory with the positions it is handed
+    required = {"m": 1.0, "kappa": 4.0, "d": 3}
+    _, defaults = POTENTIALS[name]
+    model = builtin_potential(name, **{k: required[k] if v is None else v for k, v in defaults.items()})
+    q = np.random.default_rng(0).standard_normal((5, model.dim))
+    assert not np.shares_memory(model.grad(q), q)
 
 
 def _random_pairs(dim, n, seed, scale=2.0):

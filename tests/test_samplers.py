@@ -442,6 +442,37 @@ class TestSimulateChain:
             assert calls["n"] == 20, kind
 
 
+class TestStepOut:
+    """``step(state, rng, out=...)`` writes the bytes of ``step(state, rng)``."""
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3)], ids=["n-d", "B-n-d"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fresh_given_and_in_place_outputs_are_bit_identical(self, kind, shape):
+        model = builtin_potential("quadratic_aniso", m=1.0, kappa=4.0, d=3)
+        step = make_stepper(model, SamplerConfig(kind=kind, step=0.1, gamma=2.0, alpha=1.0))
+        gen = np.random.default_rng(7)
+        q, p = gen.standard_normal(shape), gen.standard_normal(shape)
+        state = ChainState(q=q.copy(), p=p.copy())
+
+        class ReadOnlySlab:
+            def normals(self, wanted):
+                z = RandomSource(5, 0).normals(wanted)
+                z.flags.writeable = False
+                return z
+
+        fresh = step(state, RandomSource(5, 0))
+        given = ChainState(q=np.empty(shape), p=np.empty(shape))
+        assert step(state, RandomSource(5, 0), out=given) is given
+        read_only = step(state, ReadOnlySlab())
+        # the input is untouched whenever it is not ``out``
+        assert state.q.tobytes() == q.tobytes() and state.p.tobytes() == p.tobytes()
+        in_place = ChainState(q=q.copy(), p=p.copy())
+        assert step(in_place, RandomSource(5, 0), out=in_place) is in_place
+        for other in (given, read_only, in_place):
+            assert other.q.tobytes() == fresh.q.tobytes() and other.p.tobytes() == fresh.p.tobytes()
+        assert not (np.shares_memory(fresh.q, state.q) or np.shares_memory(fresh.p, state.p))
+
+
 class TestRegistry:
     def test_kinds_come_from_the_registry(self):
         assert KINDS == tuple(KERNELS) == ("hfhr_strang", "uld_klmc", "ula", "hfhr_em")
