@@ -87,6 +87,26 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be a finite number")
 
 
+def _require_positive(**values: float) -> None:
+    """Raise a ValueError naming the first value that is not finite, or else not > 0."""
+    _require_finite(**values)
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0")
+
+
+def _w2_rate(alpha: float, gamma: float, m: float) -> float:
+    """The paper's W2 contraction rate m/gamma + m alpha: underdamped
+    Langevin's m/gamma plus the additional acceleration m alpha.
+
+    Its one definition: theory_constants takes it as the first term of
+    lambda', rate_bound_w2 reports it (and w2_bound_discrete takes it from
+    there), and iteration_complexity and discretization_constant_bound
+    divide by it.  Callers check the parameters.
+    """
+    return m / gamma + m * alpha
+
+
 def theory_constants(L: float, m: float, alpha: float, gamma: float) -> TheoryConstants:
     """Evaluate the four transformed-dynamics constants verbatim.
 
@@ -115,7 +135,7 @@ def theory_constants(L: float, m: float, alpha: float, gamma: float) -> TheoryCo
     sigma_max = math.sqrt(base + 0.5 * root)
     sigma_min = gamma * math.sqrt(1.0 + alpha * gamma) / sigma_max
     kappa_prime = sigma_max / sigma_min if sigma_min > 0 else math.inf
-    rates = (m / gamma + alpha * m, (gamma * gamma - L) / gamma)
+    rates = (_w2_rate(alpha, gamma, m), (gamma * gamma - L) / gamma)
     if not all(map(math.isfinite, (l_prime, sigma_max, kappa_prime, *rates))):
         params = {"gamma": gamma, "alpha": alpha, "L": L, "m": m}
         name = max(params, key=lambda k: abs(math.log(params[k])) if params[k] > 0 else 0.0)
@@ -177,12 +197,14 @@ class W2RateBound:
 
 
 def rate_bound_w2(alpha: float, gamma: float, m: float, L: float) -> W2RateBound:
-    """Wasserstein contraction: rate m/gamma + m alpha, prefactor kappa'."""
-    if m <= 0:
-        raise ValueError("m must be > 0")
+    """Wasserstein contraction: rate ``_w2_rate`` (m/gamma + m alpha), prefactor kappa'.
+
+    Requires m > 0, besides theory_constants' rules.
+    """
+    _require_positive(m=m)
     consts = theory_constants(L, m, alpha, gamma)
     return W2RateBound(
-        rate=m / gamma + m * alpha,
+        rate=_w2_rate(alpha, gamma, m),
         prefactor=consts.kappa_prime,
         gamma_ok=gamma * gamma > L + m,
         alpha_ok=alpha * m * gamma <= gamma * gamma - L - m,  # alpha <= (gamma^2 - L - m) / (m gamma); m gamma may underflow
@@ -199,10 +221,12 @@ def w2_bound_discrete(
     w2_init: float,
     C: float,
 ) -> float:
-    """Discrete-time W2 bound: sqrt(2) kappa' e^{-rate k h} W2(0) + sqrt(2) C h."""
-    consts = theory_constants(L, m, alpha, gamma)
-    rate = m / gamma + m * alpha
-    return math.sqrt(2.0) * consts.kappa_prime * math.exp(-rate * k * h) * w2_init + (
+    """Discrete-time W2 bound: sqrt(2) kappa' e^{-rate k h} W2(0) + sqrt(2) C h.
+
+    The rate and kappa' are rate_bound_w2's, under its rules (m > 0).
+    """
+    bound = rate_bound_w2(alpha, gamma, m, L)
+    return math.sqrt(2.0) * bound.prefactor * math.exp(-bound.rate * k * h) * w2_init + (
         math.sqrt(2.0) * C * h
     )
 
@@ -221,11 +245,15 @@ def iteration_complexity(
 
     Returns (h_star, k_star) with h_star = min{h0, eps / (2 sqrt(2) C)} and
     k_star the real-valued count (callers take the ceiling); the count is
-    clamped at 0 when the target accuracy already exceeds the start.
+    clamped at 0 when the target accuracy already exceeds the start.  The
+    rate is ``_w2_rate``.  Every input must be finite, alpha >= 0 and the
+    rest > 0, or a ValueError names one that is not.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    rate = m / gamma + m * alpha
+    _require_finite(alpha=alpha)
+    _require_positive(m=m, gamma=gamma, C=C, h0=h0, eps=eps, kappa_prime=kappa_prime, w2_init=w2_init)
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    rate = _w2_rate(alpha, gamma, m)
     root8 = 2.0 * math.sqrt(2.0)
     h_star = min(h0, eps / (root8 * C))
     log_term = math.log(root8 * kappa_prime * w2_init / eps)
@@ -234,8 +262,16 @@ def iteration_complexity(
 
 
 def discretization_constant_bound(b1: float, b2: float, alpha: float, m: float, gamma: float) -> float:
-    """Upper bound (b1 alpha^3 + b2) / (m/gamma + m alpha) on the error constant."""
-    return (b1 * alpha**3 + b2) / (m / gamma + m * alpha)
+    """Upper bound (b1 alpha^3 + b2) / (m/gamma + m alpha) on the error constant.
+
+    The denominator is ``_w2_rate``.  Every input must be finite, with m and
+    gamma > 0 and alpha >= 0, or a ValueError names one that is not.
+    """
+    _require_finite(b1=b1, b2=b2, alpha=alpha)
+    _require_positive(m=m, gamma=gamma)
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    return (b1 * alpha**3 + b2) / _w2_rate(alpha, gamma, m)
 
 
 def optimal_alpha(b1: float, b2: float, gamma: float) -> float:
@@ -345,8 +381,7 @@ def step_affine_map(
     ):
         raise ValueError("H must be finite and symmetric")
     _require_finite(h=h, gamma=gamma, alpha=alpha)
-    if h <= 0:
-        raise ValueError("h must be > 0")
+    _require_positive(h=h)
     if kind != "ula" and gamma <= 0:
         raise ValueError("gamma must be > 0")
     if alpha < 0:
@@ -412,8 +447,14 @@ def spectral_radius(T: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(T))))
 
 
-def _demo_block(lam: float, alpha: float, gamma: float, h: float) -> np.ndarray:
-    """Forward-Euler mean-process block for one Hessian eigenvalue."""
+def forward_euler_block(lam: float, alpha: float, gamma: float, h: float) -> np.ndarray:
+    """Forward-Euler mean-process block [[1 - alpha lam h, h], [-lam h, 1 - gamma h]]
+    for one Hessian eigenvalue lam.
+
+    The one definition of the block: uld_optimal_discount,
+    hfhr_demo2_parameters and the first table of ``hfhr spectral`` build
+    theirs with it.
+    """
     return np.array([[1.0 - alpha * lam * h, h], [-lam * h, 1.0 - gamma * h]])
 
 
@@ -436,8 +477,8 @@ def uld_optimal_discount(eps: float) -> UldOptimalDiscount:
     gamma = math.sqrt(2.0 * (1.0 + eps)) / math.sqrt(eps)
     discount = math.sqrt((1.0 - eps) / (1.0 + eps))
     radius = max(
-        spectral_radius(_demo_block(1.0, 0.0, gamma, h)),
-        spectral_radius(_demo_block(1.0 / eps, 0.0, gamma, h)),
+        spectral_radius(forward_euler_block(1.0, 0.0, gamma, h)),
+        spectral_radius(forward_euler_block(1.0 / eps, 0.0, gamma, h)),
     )
     if abs(radius - discount) > 1e-10:
         raise AssertionError("closed-form discount disagrees with block spectra")
@@ -462,9 +503,7 @@ def hfhr_demo2_parameters(eps: float, c: float) -> AcceleratedDiscount:
     """
     if not (0.0 < eps < 1.0 and 1.0 / eps < math.inf):  # 1 / eps is the second eigenvalue
         raise ValueError("eps must lie in (0, 1), with 1 / eps finite")
-    _require_finite(c=c)
-    if c <= 0:
-        raise ValueError("c must be > 0")
+    _require_positive(c=c)
     R = math.sqrt(
         4 * c * c * eps**4 + 8 * c * c * eps**3 + 4 * c * c * eps**2 + eps**2 - 2 * eps + 1
     )
@@ -478,8 +517,8 @@ def hfhr_demo2_parameters(eps: float, c: float) -> AcceleratedDiscount:
         raise ValueError("eps, c outside the admissible range (alpha or gamma <= 0)")
     discount = math.sqrt((1.0 - eps) * (1.0 - eps + R)) / (math.sqrt(2.0) * (1.0 + eps))
 
-    A1 = _demo_block(1.0, alpha, gamma, h)
-    A2 = _demo_block(1.0 / eps, alpha, gamma, h)
+    A1 = forward_euler_block(1.0, alpha, gamma, h)
+    A2 = forward_euler_block(1.0 / eps, alpha, gamma, h)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
         tr1 = A1[0, 0] + A1[1, 1]
         det_sum = np.linalg.det(A1) + np.linalg.det(A2)
@@ -574,6 +613,7 @@ __all__ = [
     "step_thresholds",
     "step_affine_map",
     "spectral_radius",
+    "forward_euler_block",
     "uld_optimal_discount",
     "hfhr_demo2_parameters",
     "gaussian_continuous_propagation",

@@ -87,8 +87,11 @@ def _cmd_experiment(args) -> int:
     )
     if args.format in ("csv", "both"):
         harness.write_csv(series, os.path.join(args.out_dir, "results.csv"))
-    if args.format in ("svg", "both"):
-        style = "semilog-y" if all(r.value > 0 for r in series.rows if math.isfinite(r.value)) else "linear"
+    finite = [r.value for r in series.rows if math.isfinite(r.value)]
+    if args.format in ("svg", "both") and not finite:  # write_svg_plot would raise: the run is not at fault
+        print("warning: no finite values to plot; results.svg not written", file=sys.stderr)
+    elif args.format in ("svg", "both"):
+        style = "semilog-y" if all(v > 0 for v in finite) else "linear"
         harness.write_svg_plot(
             series, style, os.path.join(args.out_dir, "results.svg"), title=spec.metric
         )
@@ -129,8 +132,8 @@ def _cmd_spectral(args) -> int:
     lines = ["# forward-Euler mean process, 1D unit quadratic", "alpha gamma h_opt radius"]
     for alpha, gamma in ((0.0, args.gamma), (args.gamma + 2.0, args.gamma)):
         h_opt = (alpha + gamma) / (2.0 * (1.0 + alpha * gamma))
-        T = np.array([[1 - alpha * h_opt, h_opt], [-h_opt, 1 - gamma * h_opt]])
-        lines.append(f"{alpha:g} {gamma:g} {h_opt:.6g} {analysis.spectral_radius(T):.6g}")
+        radius = analysis.spectral_radius(analysis.forward_euler_block(1.0, alpha, gamma, h_opt))
+        lines.append(f"{alpha:g} {gamma:g} {h_opt:.6g} {radius:.6g}")
     lines += ["", "# two-scale quadratic: baseline optimum vs accelerated construction (c=1)",
               "eps uld_h uld_gamma uld_discount hfhr_h hfhr_gamma hfhr_alpha hfhr_discount"]
     for eps in args.eps:

@@ -107,11 +107,36 @@ class ExperimentSpec:
     def steps_for(self, config: SamplerConfig) -> int:
         if self.steps is not None:
             return self.steps
-        return max(1, int(round(self.horizon / config.step)))
+        return _steps(self.horizon, config.step)
 
     def reference_horizon(self) -> float:
         """The benchmark reference's horizon: its own, or 10x the experiment's."""
         return self.benchmark.horizon or (10.0 * (self.horizon or 1.0))
+
+
+def _steps(horizon: float, step: float) -> int:
+    """Steps of size ``step`` that cover ``horizon``, at least one: a config's, and the reference's."""
+    return max(1, int(round(horizon / step)))
+
+
+def _raw_moments(q: np.ndarray) -> tuple:
+    """Each block's row sum and q^T q of a (B, n, d) state, shapes (B, d) and (B, d, d).
+
+    The one place raw moments are formed, for the records and the
+    reference: a block's slice holds the sum and the syrk product its
+    (n, d) rows give alone.
+    """
+    return q.sum(axis=1), np.matmul(q.transpose(0, 2, 1), q)
+
+
+def _mean_cov(sum_q: np.ndarray, sum_qq: np.ndarray, n: int, ddof: int) -> tuple:
+    """Mean and covariance of n rows from their raw sums, the covariance over n - ddof.
+
+    Shared by the records (ddof 1, stacked over records) and the reference's
+    time average (ddof 0); the mean is sum / n, as ``np.mean`` takes it.
+    """
+    mean = sum_q / n
+    return mean, sum_qq / (n - ddof) - mean[..., :, None] * mean[..., None, :] * (n / (n - ddof))
 
 
 @dataclass(frozen=True)
@@ -591,27 +616,24 @@ def _benchmark_reference(spec: ExperimentSpec, model: PotentialModel, cache_dir:
 
     bench = spec.benchmark
     chains = bench.chains or spec.chains
-    steps = max(1, int(round(spec.reference_horizon() / bench.config.step)))
+    steps = _steps(spec.reference_horizon(), bench.config.step)
     start = steps // 2
-    acc_q = np.zeros(model.dim)
-    acc_qq = np.zeros((model.dim, model.dim))
+    acc = (np.zeros(model.dim), np.zeros((model.dim, model.dim)))  # the time sums of each record's raw moments / chains
 
     def accumulate(k, q):
-        nonlocal acc_q, acc_qq
         if k > start:
-            acc_q += q[0].mean(axis=0)
-            acc_qq += q[0].T @ q[0] / chains
+            for total, raw in zip(acc, _raw_moments(q)):
+                total += raw[0] / chains
 
     diverged = _run_group(spec, model, bench.config, steps, [_REFERENCE_STREAM], chains, accumulate, noise_pool,
                           "reference.chains is too large")
     if diverged is not None:
         raise ConfigError(f"reference run diverged at step {diverged}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        mean = acc_q / (steps - start)
-        cov = acc_qq / (steps - start) - np.outer(mean, mean)
+        mean, cov = _mean_cov(*acc, steps - start, 0)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):  # finite states, overflowed moments
         raise ConfigError(f"reference run diverged: its moments overflowed by step {steps}")
-    summary = GaussianSummary(mean=mean, cov=0.5 * (cov + cov.T))
+    summary = GaussianSummary(mean=mean, cov=cov)
     if cache_path is not None:
         # written beside the cache file, then renamed over it: a reader sees
         # a whole file or none, even if this run dies mid-write
@@ -677,8 +699,7 @@ def _moment_values(spec, reference, groups, records, dim):
             for b in range(group_q.shape[1]):
                 sum_q = sum_q + group_q[:, b]
                 sum_qq = sum_qq + group_qq[:, b]
-        mean = sum_q / n_total
-        cov = sum_qq / (n_total - 1) - mean[:, :, None] * mean[:, None, :] * (n_total / (n_total - 1))
+        mean, cov = _mean_cov(sum_q, sum_qq, n_total, 1)
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
         if spec.metric == "w2_gaussian":
             values.extend(w2_gaussian_stack(mean, cov, reference).tolist())
@@ -742,10 +763,7 @@ def run_experiment(
 
                 def record(k, q):
                     if k in record_steps or k == steps:
-                        # every block's moments at once: the same sums and
-                        # syrk products as each block's (n, d) rows would give alone
-                        records.append(q.reshape(-1, model.dim).copy() if keep_samples
-                                       else (q.sum(axis=1), np.matmul(q.transpose(0, 2, 1), q)))
+                        records.append(q.reshape(-1, model.dim).copy() if keep_samples else _raw_moments(q))
 
                 streams = [c_idx * _CONFIG_STREAMS + b for b in group]
                 stop = _run_group(spec, model, config, steps, streams, sizes[group[0]], record,

@@ -294,13 +294,31 @@ def builtin_potential(name: str, **params) -> PotentialModel:
     return factory(**args)
 
 
+def _central_differences(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
+    """(f(x + s e_i) - f(x - s e_i)) / (2 s) with s = h max(1, |x_i|), stacked
+    on a last axis over the coordinates i.
+
+    The one central-difference loop: gradient_check takes it of ``eval``,
+    numerical_hessian of ``grad`` (column i of the Hessian).
+    """
+    columns = []
+    for i in range(x.size):
+        step = h * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += step
+        xm[i] -= step
+        columns.append((f(xp) - f(xm)) / (2.0 * step))
+    return np.stack(columns, axis=-1)
+
+
 def gradient_check(
     model: PotentialModel, trials: int, tol: float, seed: int = 0
 ) -> GradientCheckReport:
-    """Compare analytic gradients with central finite differences.
+    """Compare analytic gradients with central finite differences of ``eval``.
 
-    Uses step 1e-5 scaled by coordinate magnitude at ``trials`` standard
-    normal points; never raises, the report carries the verdict.
+    Uses step 1e-5 scaled by coordinate magnitude (``_central_differences``)
+    at ``trials`` standard normal points; never raises, the report carries
+    the verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -309,13 +327,7 @@ def gradient_check(
     for _ in range(trials):
         x = rng.standard_normal(model.dim)
         g = np.asarray(model.grad(x), dtype=float)
-        fd = np.empty(model.dim)
-        for i in range(model.dim):
-            h = 1e-5 * max(1.0, abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd[i] = (model.eval(xp) - model.eval(xm)) / (2.0 * h)
+        fd = _central_differences(model.eval, x, 1e-5)
         err = np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g))
         worst = max(worst, float(err))
     return GradientCheckReport(
@@ -324,14 +336,6 @@ def gradient_check(
 
 
 def numerical_hessian(model: PotentialModel, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Dense finite-difference Hessian from the analytic gradient."""
-    x = np.asarray(x, dtype=float)
-    d = model.dim
-    H = np.empty((d, d))
-    for i in range(d):
-        step = h * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        H[:, i] = (model.grad(xp) - model.grad(xm)) / (2.0 * step)
+    """Dense Hessian from central differences (``_central_differences``) of the analytic gradient."""
+    H = _central_differences(model.grad, np.asarray(x, dtype=float), h)
     return 0.5 * (H + H.T)

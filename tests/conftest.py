@@ -1,6 +1,13 @@
 import threading
 
 import pytest
+from hypothesis import settings
+
+# every property test draws the same examples on every run and keeps no
+# example database; a test's own settings add its example count, deadline
+# and health checks
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

@@ -268,6 +268,50 @@ class TestDiscreteBounds:
     def test_constant_bound_formula(self):
         assert discretization_constant_bound(1.0, 1.0, 0.0, 1.0, 2.0) == pytest.approx(2.0)
 
+    # at the parent, m = 0, gamma = 0 and C = 0 raised ZeroDivisionError, and
+    # m < 0 or alpha < -1/gamma made k* a silent 0
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("m", 0.0, "m must be > 0"),
+            ("m", -1.0, "m must be > 0"),
+            ("gamma", 0.0, "gamma must be > 0"),
+            ("gamma", -2.0, "gamma must be > 0"),
+            ("C", 0.0, "C must be > 0"),
+            ("w2_init", 0.0, "w2_init must be > 0"),
+            ("alpha", -1.0, "alpha must be >= 0"),
+            ("m", math.nan, "m must be a finite number"),
+            ("gamma", math.inf, "gamma must be a finite number"),
+            ("alpha", math.inf, "alpha must be a finite number"),
+            ("h0", math.inf, "h0 must be a finite number"),
+        ],
+    )
+    def test_iteration_complexity_names_a_bad_parameter(self, name, value, message):
+        params = {"alpha": 1.0, "gamma": 2.0, "m": 1.0, "C": 3.0, "h0": 0.5, "eps": 0.1, "kappa_prime": 2.0, "w2_init": 5.0}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            iteration_complexity(**{**params, name: value})
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("m", 0.0, "m must be > 0"),
+            ("m", -1.0, "m must be > 0"),
+            ("gamma", 0.0, "gamma must be > 0"),
+            ("alpha", -1.0, "alpha must be >= 0"),
+            ("b1", math.nan, "b1 must be a finite number"),
+            ("gamma", math.inf, "gamma must be a finite number"),
+        ],
+    )
+    def test_constant_bound_names_a_bad_parameter(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            discretization_constant_bound(**{"b1": 1.0, "b2": 1.0, "alpha": 0.0, "m": 1.0, "gamma": 2.0, name: value})
+
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_discrete_w2_bound_needs_strong_convexity(self, m):
+        # at m = 0 the parent returned a bound that did not decay in k
+        with pytest.raises(ValueError, match="^m must be > 0$"):
+            w2_bound_discrete(1.0, 2.0, m, 1.0, h=0.01, k=10, w2_init=5.0, C=3.0)
+
     def test_step_thresholds_shapes_and_monotonicity(self):
         t = step_thresholds(1.0, 1.0, 1.0, 0.0, 2.0)
         assert t["h0"] == pytest.approx(min(t["h1"], t["h2"], t["h3"], t["h0"]))
@@ -743,7 +787,46 @@ class TestDiscreteStationaryCovariance:
         assert slope >= 0.9
 
 
+def exact_contraction_rate(alpha, gamma, lam):
+    """-max Re eig([[-alpha lam, 1], [-lam, -gamma]]) for each lam, elementwise.
+
+    The eigenvalues are -s/2 +- sqrt(disc) with s = alpha lam + gamma and
+    disc = ((gamma - alpha lam)/2)^2 - lam, the same as s^2/4 - lam (1 +
+    alpha gamma).  A real pair decays at the smaller magnitude, taken as
+    lam (1 + alpha gamma) / (s/2 + sqrt(disc)) so that nothing cancels; a
+    complex pair decays at s/2.
+    """
+    s = alpha * lam + gamma
+    disc = (0.5 * (gamma - alpha * lam)) ** 2 - lam
+    real = lam * (1.0 + alpha * gamma) / (0.5 * s + np.sqrt(np.maximum(disc, 0.0)))
+    return np.where(disc > 0.0, real, 0.5 * s)
+
+
 class TestBoundValidityOnExactDynamics:
+    def test_exact_contraction_rate_matches_the_block_eigenvalues(self):
+        for alpha, gamma, lam in itertools.product((0.0, 0.01, 1.0, 30.0), (0.1, 2.0, 60.0), (0.1, 1.0, 100.0)):
+            block = np.array([[-alpha * lam, 1.0], [-lam, -gamma]])
+            want = -np.linalg.eigvals(block).real.max()
+            assert exact_contraction_rate(alpha, gamma, np.array([lam]))[0] == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    def test_w2_rate_never_exceeds_the_exact_contraction_rate(self):
+        # wherever rate_bound_w2 reports its assumptions met, the paper's
+        # rate m/gamma + m alpha is at most the slowest block's exact rate,
+        # over the Hessian eigenvalues m, L and a geometric grid between them
+        gammas = np.geomspace(0.1, 100.0, 40)
+        alphas = np.concatenate(([0.0], np.geomspace(1e-3, 100.0, 40)))
+        admissible, worst = 0, 0.0
+        for m, L in ((1.0, 1.0), (1.0, 4.0), (1.0, 10.0), (0.1, 1.0), (1.0, 100.0)):
+            lam = np.geomspace(m, L, 200)
+            for gamma, alpha in itertools.product(gammas, alphas):
+                bound = rate_bound_w2(float(alpha), float(gamma), m, L)
+                if bound.gamma_ok and bound.alpha_ok:
+                    exact = exact_contraction_rate(alpha, gamma, lam).min()
+                    assert bound.rate <= exact * (1.0 + 1e-12), (m, L, gamma, alpha, bound.rate, exact)
+                    admissible, worst = admissible + 1, max(worst, bound.rate / exact)
+        assert admissible == 3688
+        assert worst > 0.9999  # the bound is tight at large gamma: m/gamma against lam/gamma (1 + O(lam/gamma^2))
+
     def test_w2_contraction_bound_holds_on_grid(self):
         # exact Gaussian propagation never exceeds kappa' e^{-rate t} W2(0)
         target = GaussianSummary(np.zeros(2), np.eye(2))

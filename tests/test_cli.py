@@ -484,6 +484,37 @@ class TestExperiment:
         assert svg.count("<polyline") == 2 and "nan" not in svg and "inf" not in svg
 
     @pytest.mark.parametrize(
+        "sampler, steps, record_every, code",
+        [
+            ({"id": "u", "kind": "uld_klmc", "gamma": 2.0, "step": 0.1}, 3, 1, 0),
+            ({"id": "boom", "kind": "hfhr_strang", "alpha": 1.0, "gamma": 2.0, "step": 4.0}, 900, 100, 3),
+        ],
+        ids=["finished", "diverged"],
+    )
+    def test_a_run_with_no_finite_value_writes_no_plot_and_exits_as_its_run(self, tmp_path, capsys, sampler,
+                                                                             steps, record_every, code):
+        # every sample lands in the bin [40, 40.1], where the target's mass
+        # underflows, so every row is inf; the parent exited 2, a config error
+        doc = {
+            "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+            "sampler": [sampler],
+            "chains": 100,
+            "steps": steps,
+            "record_every": record_every,
+            "metric": "chi2_hist",
+            "histogram": {"lo": 40, "hi": 41, "bins": 10},
+        }
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "o"
+        code_got, out, err = run_cli(capsys, "experiment", str(cfg), "--out-dir", str(out_dir))
+        assert (code_got, out) == (code, ""), err
+        rows = read_csv(str(out_dir / "results.csv"))
+        assert rows and all(r.value == math.inf for r in rows)
+        assert "warning: no finite values to plot; results.svg not written" in err
+        assert not (out_dir / "results.svg").exists()
+
+    @pytest.mark.parametrize(
         "params, message",
         [
             ({"m": {}, "d": 1}, "potential.params.m must be a number"),

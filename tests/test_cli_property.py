@@ -27,8 +27,6 @@ FLOATS = st.builds(lambda sign, value: sign * value, st.sampled_from([1.0, 1.0, 
 SETTINGS = settings(
     max_examples=150,
     deadline=5000,
-    derandomize=True,
-    database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 

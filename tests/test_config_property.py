@@ -5,9 +5,15 @@ The documents mix valid fields with wrong types, missing keys and
 out-of-range values.  Valid fields keep sizes small enough to run (chains
 <= 2,000, steps <= 20, d <= 4); a wrong value such as 10**30 is rejected at
 parse time, or, for ``steps``, starts a valid run too long to finish, which
-the derandomized examples here never draw.  The one run-time ConfigError a
-parsed spec may raise is a ``benchmark_run`` reference whose run diverges:
-that cannot be known without running it.  Any other exception is a failure.
+the derandomized examples here never draw.
+
+A parsed spec may still raise a ConfigError at run time, for what only the
+run can show: a ``benchmark_run`` reference whose run diverges, a record
+covariance that the raw moments lose to cancellation (not positive
+semi-definite), a one-sided ``histogram.lo`` or ``hi`` that its automatic
+other bound does not clear, and arrays too large to allocate.  Of these,
+the documents drawn here reach only the diverging reference, so the test
+accepts that one and fails on any other exception.
 """
 
 import json
@@ -117,8 +123,6 @@ def documents(draw):
 @settings(
     max_examples=100,
     deadline=5000,
-    derandomize=True,
-    database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(doc=st.one_of(documents(), documents(), documents(), BAD))

@@ -609,10 +609,8 @@ def run_group(spec, model, config, steps, record_steps, streams, n):
     return records, harness._run_group(spec, model, config, steps, streams, n, record)
 
 
-@pytest.fixture
-def recorded_groups(monkeypatch):
-    """Each group run_experiment steps: (config, n, streams, result), in call order."""
-    groups = []
+def recording_run_group(groups):
+    """``harness._run_group`` that appends each config group's (config, n, streams, result) to ``groups``."""
     original = harness._run_group
 
     def recording(spec, model, config, steps, streams, n, observe, noise_pool=None, too_large=None):
@@ -620,7 +618,14 @@ def recorded_groups(monkeypatch):
         groups.append((config, n, list(streams), (inspect.getclosurevars(observe).nonlocals["records"], stop)))
         return stop
 
-    monkeypatch.setattr(harness, "_run_group", recording)
+    return recording
+
+
+@pytest.fixture
+def recorded_groups(monkeypatch):
+    """Each group run_experiment steps: (config, n, streams, result), in call order."""
+    groups = []
+    monkeypatch.setattr(harness, "_run_group", recording_run_group(groups))
     return groups
 
 
