@@ -14,7 +14,9 @@ are its tasks, and otherwise its single thread draws each group's noise
 ahead of the kernel (``_GroupNoise``); it draws the reference's ahead
 either way.  A group stops at its first non-finite row, since a config's
 output ends at its first divergence.  A config's records are merged and
-scored as stacked arrays (``_moment_values``).
+scored as stacked arrays (``_moment_values``).  The iteration sweep steps
+its (gamma, h) pairs on two threads of its own, each pair pinned to one
+(``_step_pass``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import mmap
 import os
 import sys
 import tempfile
+import threading
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
@@ -700,7 +703,6 @@ def _moment_values(spec, reference, groups, records, dim):
                 sum_q = sum_q + group_q[:, b]
                 sum_qq = sum_qq + group_qq[:, b]
         mean, cov = _mean_cov(sum_q, sum_qq, n_total, 1)
-        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
         if spec.metric == "w2_gaussian":
             values.extend(w2_gaussian_stack(mean, cov, reference).tolist())
             stderrs.extend([None] * (hi - lo))
@@ -852,6 +854,57 @@ class _SharedSlab:
         return self._view
 
 
+def _step_pass(workers: list, live: list, target: np.ndarray, eps: float) -> dict:
+    """Step each live ``(index, chain)`` pair once, pair i on ``workers[i % 2]``.
+
+    Returns {index: outcome}: the step count of a hit, None for a step that
+    missed, or the exception the step raised (a DivergenceError when the
+    pair left).  Each thread takes its pairs in grid order and checks their
+    hits itself.  A hit or a raise other than a divergence makes its index
+    the stop index, and no pair after it starts.  A thread starts pair i
+    only once the other has finished its pairs up to i - 3, so at most one
+    pair past the stop index steps.  Every pair up to it has its outcome.
+    """
+    shares = [[pair for pair in live if pair[0] % 2 == w] for w in range(2)]
+    # index of each thread's first unfinished pair, inf once its share is done
+    front = [share[0][0] if share else math.inf for share in shares]
+    stop = math.inf
+    outcomes = {}
+    turn = threading.Condition()
+
+    def run(w):
+        nonlocal stop
+        share = shares[w]
+        try:
+            # numpy's errstate is per thread; the hit check of a state near
+            # overflow may overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                for n, (i, chain) in enumerate(share):
+                    with turn:
+                        turn.wait_for(lambda: front[1 - w] > i - 3)
+                        if i > stop:
+                            return
+                    try:
+                        k, state = next(chain)
+                        outcome = k if np.linalg.norm(state.q.mean(axis=0) - target) <= eps else None
+                    except Exception as exc:  # the caller raises it if no pair before i hits or raises
+                        outcome = exc
+                    with turn:
+                        outcomes[i] = outcome
+                        if outcome is not None and not isinstance(outcome, DivergenceError):
+                            stop = min(stop, i)
+                        front[w] = share[n + 1][0] if n + 1 < len(share) else math.inf
+                        turn.notify_all()
+        finally:
+            with turn:
+                front[w] = math.inf
+                turn.notify_all()
+
+    for task in [workers[w].submit(run, w) for w in range(2) if shares[w]]:
+        task.result()
+    return outcomes
+
+
 def sweep_iteration_complexity(
     model: PotentialModel,
     alphas,
@@ -879,9 +932,23 @@ def sweep_iteration_complexity(
     at the first step where a pair hits, and the first such pair in grid
     order wins.  Lockstep holds one state per live pair, pairs x chains x
     dim x 16 bytes, and the slab, chains x dim x 40 bytes.
+
+    Each pass, the calling thread draws the slab, then two threads, which
+    live for this call, step the live pairs: pair i of the grid always on
+    thread i mod 2, each thread in grid order with its own hit check (see
+    ``_step_pass``).  The first pair in grid order that hits or raises
+    stops the pass; at most one pair after it takes a step that is thrown
+    away.  The caller reads the outcomes in grid order, so the rows, the
+    winners and the errors raised are those of a one-thread scan.  Each
+    thread holds one more step in flight, about 4 MB at 10,000 chains and
+    dim 10.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
+    if not _integer(chains) or chains < 1:
+        raise ValueError("chains must be an integer >= 1")
+    if not _integer(cap) or cap < 0:
+        raise ValueError("cap must be an integer >= 0")
     if model.target_mean is None:
         raise ValueError("sweep requires a potential with a known target mean")
     target = model.target_mean
@@ -896,45 +963,53 @@ def sweep_iteration_complexity(
         if steppers and np.linalg.norm(state.q.mean(axis=0) - target) <= eps:
             return 0, 0
         slab = _SharedSlab(RandomSource(seed, 0), (KERNELS["hfhr_strang"].draws,) + state.q.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            live = [(i, iterate_chain(state, stepper, cap, slab)) for i, stepper in enumerate(steppers)]
-            for _ in range(cap):  # every live pair steps once a pass, up to the cap
-                if not live:
-                    break
-                slab.draw()
-                survivors = []
-                for i, chain in live:
-                    try:
-                        k, pair_state = next(chain)
-                    except DivergenceError:
-                        continue
-                    if np.linalg.norm(pair_state.q.mean(axis=0) - target) <= eps:
-                        return k, i
-                    survivors.append((i, chain))
-                live = survivors
+        live = [(i, iterate_chain(state, stepper, cap, slab)) for i, stepper in enumerate(steppers)]
+        for _ in range(cap):  # every live pair steps once a pass, up to the cap
+            if not live:
+                break
+            slab.draw()
+            outcomes = _step_pass(workers, live, target, eps)
+            survivors = []
+            for i, chain in live:
+                outcome = outcomes[i]
+                if isinstance(outcome, DivergenceError):
+                    continue
+                if isinstance(outcome, Exception):
+                    raise outcome
+                if outcome is not None:
+                    return outcome, i
+                survivors.append((i, chain))
+            live = survivors
         return None, None
 
     combos = [(float(gamma), float(h)) for gamma in gammas for h in steps_grid]
     table = []
-    for alpha in alphas:
-        configs = [SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=float(alpha)) for gamma, h in combos]
-        hits = [first_hit(configs, seed) for seed in seeds]
-        finite = [k for k, _ in hits if k is not None]
-        if not finite:
-            table.append(SweepRow(alpha=float(alpha), best_gamma=None, best_step=None,
-                                  iterations_mean=math.inf, iterations_std=math.inf))
-        else:
-            best_gamma, best_step = combos[next(i for k, i in hits if k is not None)]
-            arr = np.array(finite, dtype=float)
-            table.append(
-                SweepRow(
-                    alpha=float(alpha),
-                    best_gamma=best_gamma,
-                    best_step=best_step,
-                    iterations_mean=float(arr.mean()),
-                    iterations_std=float(arr.std()),
+    # a thread starts at its first task: none for an empty grid, one for one pair
+    with (
+        ThreadPoolExecutor(1, thread_name_prefix="hfhr-sweep_0") as even,
+        ThreadPoolExecutor(1, thread_name_prefix="hfhr-sweep_1") as odd,
+    ):
+        workers = [even, odd]
+        for alpha in alphas:
+            configs = [SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=float(alpha))
+                       for gamma, h in combos]
+            hits = [first_hit(configs, seed) for seed in seeds]
+            finite = [k for k, _ in hits if k is not None]
+            if not finite:
+                table.append(SweepRow(alpha=float(alpha), best_gamma=None, best_step=None,
+                                      iterations_mean=math.inf, iterations_std=math.inf))
+            else:
+                best_gamma, best_step = combos[next(i for k, i in hits if k is not None)]
+                arr = np.array(finite, dtype=float)
+                table.append(
+                    SweepRow(
+                        alpha=float(alpha),
+                        best_gamma=best_gamma,
+                        best_step=best_step,
+                        iterations_mean=float(arr.mean()),
+                        iterations_std=float(arr.std()),
+                    )
                 )
-            )
     return table
 
 

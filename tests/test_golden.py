@@ -4,13 +4,16 @@ The hashes were taken from the serial block-by-block runner; any change to
 how chains are batched, scheduled or merged must leave them as they are.
 """
 
+import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from hfhr.cli import main
+from hfhr.rng import RandomSource
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -62,6 +65,20 @@ LOGCOSH_MEAN = {
     "init": {"q": 1.0, "p": 0.0, "q_std": 0.5},
 }
 
+# two chains whose start covariance (about 1.39e308) lies between half the
+# largest float and the largest: a second symmetrisation of it overflowed,
+# and every stderr but the last was inf
+HUGE_SPREAD_MEAN = {
+    "potential": {"name": "quadratic_iso", "params": {"m": 1.0, "d": 1}},
+    "sampler": [{"id": "ula", "kind": "ula", "step": 0.1}],
+    "chains": 2,
+    "steps": 3,
+    "record_every": 1,
+    "seed": 8,
+    "metric": "mean_error",
+    "init": {"q": 0.0, "p": 0.0, "q_std": 1.3e154},
+}
+
 GOLDEN = {
     "gaussian1d": {
         "results.csv": "cc432ac64cb9f3ecbc2b6f571d25d5d3f59e5f71b77b1a62edac4dd0378c9918",
@@ -78,6 +95,9 @@ GOLDEN = {
     "logcosh_mean": {
         "results.csv": "0ab97140f173a88c1c3f5bc72d1efc8f4d071905843374b22eb8ae9d21a66955",
         "results.svg": "42b002f70665ced8db0d41987951a6465633b4d0666a6ce49dab98e99190c2d1",
+    },
+    "huge_spread_mean": {
+        "results.csv": "2283c381b0deb5189111dc873058c8edebbff60e906a200f361bd705d8da5ad6",
     },
 }
 
@@ -118,6 +138,21 @@ def test_three_dimensional_bytes(tmp_path, capsys, name, doc, workers):
     code, err = run(capsys, config, out_dir, workers)
     assert code == 0, err
     assert {file: sha256(out_dir / file) for file in GOLDEN[name]} == GOLDEN[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_spread_near_the_largest_float_has_finite_stderrs(tmp_path, capsys, workers):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(HUGE_SPREAD_MEAN))
+    out_dir = tmp_path / "out"
+    code, err = run(capsys, config, out_dir, workers, "--format", "csv")
+    assert code == 0, err
+    rows = list(csv.DictReader((out_dir / "results.csv").read_text().splitlines()))
+    assert len(rows) == 4 and all(math.isfinite(float(row["stderr"])) for row in rows)
+    # sqrt(cov / 2) with cov = (q1 - q2)^2 / 2 of the two start rows
+    q1, q2 = 1.3e154 * RandomSource(8, 0).normals((2, 1))[:, 0]
+    assert float(rows[0]["stderr"]) == pytest.approx(abs(q1 - q2) / 2.0, rel=1e-12)
+    assert {file: sha256(out_dir / file) for file in GOLDEN["huge_spread_mean"]} == GOLDEN["huge_spread_mean"]
 
 
 # one long chain per kind through ``hfhr sample``: a d = 3 state stepped

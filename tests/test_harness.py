@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import functools
 import hashlib
 import inspect
 import json
@@ -9,6 +10,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
+import warnings
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from hfhr import harness
-from hfhr.analysis import GaussianSummary, gaussian_continuous_propagation
+from hfhr.analysis import GaussianSummary, gaussian_continuous_propagation, step_affine_map
 from hfhr.harness import (
     ConfigError,
     parse_config,
@@ -847,6 +850,32 @@ class TestStackedBlocks:
             else:
                 assert grad_evals == expected[2]
 
+    def test_the_merged_raw_covariance_is_exactly_symmetric(self, monkeypatch):
+        # the records' covariance reaches the metric as _mean_cov forms it,
+        # with no 0.5 (S + S^T) of its own: each block's q^T q is a syrk
+        # (mirrored) or a sum of the same products in one order, the blocks
+        # add entry by entry, and m_i m_j = m_j m_i
+        covs = []
+        monkeypatch.setattr(harness, "w2_gaussian_stack", lambda mean, cov, ref: covs.append(cov) or np.zeros(len(cov)))
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            d, records = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            shapes = [(int(rng.integers(1, 4)), int(rng.choice([1, 2, 3, 7, 50, 1000]))) for _ in range(rng.integers(1, 4))]
+            groups = []
+            for blocks, n in shapes:
+                scale = 10.0 ** rng.uniform(-5, 5, size=d)
+                offset = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 6)
+                groups.append([harness._raw_moments(rng.standard_normal((blocks, n, d)) * scale + offset)
+                               for _ in range(records)])
+            chains = sum(blocks * n for blocks, n in shapes)
+            if chains < 2:
+                continue
+            spec = types.SimpleNamespace(chains=chains, metric="w2_gaussian")
+            harness._moment_values(spec, None, groups, records, d)
+            cov = covs.pop()
+            assert cov.shape == (records, d, d) and np.all(np.isfinite(cov))
+            assert np.array_equal(cov, cov.transpose(0, 2, 1))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_group_stops_at_its_first_divergence(self, recorded_groups, monkeypatch, tmp_path, workers):
         # the quartic's four blocks of ten form one group; run alone they
@@ -933,6 +962,36 @@ def serial_sweep(model, alphas, gammas, steps_grid, eps, chains, seeds, cap, ini
             gamma, h = best_combo if best_combo else (None, None)
             table.append(harness.SweepRow(float(alpha), gamma, h, float(finite.mean()), float(finite.std())))
     return table
+
+
+def pair_calls(model, config, seed, chains, limit, eps, init_q):
+    """Stepper calls of one pair run alone until it hits, diverges or reaches ``limit``."""
+    outcome = serial_pair_hit(model, config, seed, chains, limit, eps, init_q)
+    if outcome != "diverged":
+        return limit if outcome is None else outcome
+    lo, hi = 0, limit  # it diverges by step hi, not by step lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if serial_pair_hit(model, config, seed, chains, mid, eps, init_q) == "diverged":
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def lockstep_calls(model, configs, seed, chains, cap, eps, init_q):
+    """(stepper calls, hit) of a one-thread lockstep scan of ``configs``: up to
+    the first hit's pass every pair steps, and in that pass only the pairs up
+    to the first hit in grid order."""
+    hits = [serial_pair_hit(model, config, seed, chains, cap, eps, init_q) for config in configs]
+    best = min((k for k in hits if isinstance(k, int)), default=None)
+    if best is None:
+        return sum(pair_calls(model, config, seed, chains, cap, eps, init_q) for config in configs), False
+    winner = hits.index(best)
+    return sum(
+        pair_calls(model, config, seed, chains, best if i <= winner else best - 1, eps, init_q)
+        for i, config in enumerate(configs)
+    ), True
 
 
 # (alphas, gammas, steps_grid, eps, init_q, seeds), each named for what it covers
@@ -1023,6 +1082,139 @@ class TestSweep:
                     model, alphas=[1.0], gammas=[2.0], steps_grid=[0.5, 0.2], eps=0.01, chains=50, seeds=(0,), cap=20
                 )
             assert np.geterr() == before
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_each_pair_keeps_its_thread_and_at_most_one_step_per_hit_is_thrown_away(self, monkeypatch, case):
+        alphas, gammas, steps_grid, eps, init_q, seeds = SWEEP_CASES[case]
+        model = builtin_potential("quadratic_iso", m=1.0, d=2)
+        kwargs = dict(eps=eps, chains=200, seeds=seeds, cap=150, init_q=init_q)
+        made = []  # per stepper made: the thread of each of its calls
+
+        def recording_make_stepper(model, config):
+            step, threads = make_stepper(model, config), []
+            made.append(threads)
+
+            def recorded(state, rng):
+                threads.append(threading.get_ident())
+                return step(state, rng)
+
+            return recorded
+
+        monkeypatch.setattr(harness, "make_stepper", recording_make_stepper)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = sweep_iteration_complexity(model, alphas, gammas, steps_grid, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert table == serial_sweep(model, alphas, gammas, steps_grid, **kwargs)
+
+        pairs = len(gammas) * len(steps_grid)
+        assert len(made) == len(alphas) * len(seeds) * pairs
+        # pair i of every scan steps on thread i mod 2, one of two that are not the caller's
+        by_parity = [{t for j, threads in enumerate(made) if j % pairs % 2 == w for t in threads} for w in range(2)]
+        assert all(len(ids) <= 1 for ids in by_parity) and not by_parity[0] & by_parity[1]
+        assert threading.get_ident() not in by_parity[0] | by_parity[1]
+        scans = iter(made[i : i + pairs] for i in range(0, len(made), pairs))
+        for alpha in alphas:
+            configs = [SamplerConfig("hfhr_strang", h, g, alpha) for g in gammas for h in steps_grid]
+            for seed in seeds:
+                calls = sum(len(threads) for threads in next(scans))
+                serial, hit = lockstep_calls(model, configs, seed, 200, 150, eps, init_q)
+                assert serial <= calls <= serial + hit, (alpha, seed)
+
+    @pytest.mark.parametrize("raiser", [0, 1])
+    def test_the_first_hit_or_raise_in_grid_order_decides_the_pass(self, monkeypatch, raiser):
+        # both pairs hit at step 2 on seed 0; at step 2 pair 0 waits until
+        # pair 1, on the other thread, has stepped, so pair 1 hits or raises first
+        model = builtin_potential("quadratic_iso", m=1.0, d=2)
+        kwargs = dict(eps=0.3, chains=200, seeds=(0,), cap=150, init_q=1.0)
+        assert [serial_pair_hit(model, SamplerConfig("hfhr_strang", 0.5, g, 1.0), 0, 200, 150, 0.3, 1.0)
+                for g in (1.0, 2.0)] == [2, 2]
+        events, second_stepped = [], threading.Event()
+
+        def make_late_stepper(model, config):
+            i, step, calls = int(config.gamma == 2.0), make_stepper(model, config), []
+
+            def late(state, rng):
+                calls.append(1)
+                if len(calls) == 2:
+                    if i == 0:
+                        second_stepped.wait(timeout=5.0)
+                    events.append(i)
+                    if i == 1:
+                        second_stepped.set()
+                    if i == raiser:
+                        raise RuntimeError(f"pair {i} failed")
+                return step(state, rng)
+
+            return late
+
+        monkeypatch.setattr(harness, "make_stepper", make_late_stepper)
+        sweep = functools.partial(sweep_iteration_complexity, model, [1.0], [1.0, 2.0], [0.5], **kwargs)
+        if raiser == 0:  # pair 0 raises even though pair 1 hit first
+            with pytest.raises(RuntimeError, match="pair 0 failed"):
+                sweep()
+        else:  # pair 0's hit wins over pair 1's raise
+            assert sweep() == [harness.SweepRow(1.0, 1.0, 0.5, 2.0, 0.0)]
+        assert events == [1, 0]
+
+    @pytest.mark.parametrize("name, params, gamma, h", [
+        ("quadratic_iso", {"m": 1.0, "d": 2}, 2.0, 0.2),
+        ("quadratic_aniso", {"m": 1.0, "kappa": 4.0, "d": 4}, 2.0, 0.1),
+    ])
+    def test_a_one_pair_hit_falls_in_the_exact_window(self, name, params, gamma, h):
+        # on a quadratic the chain's law at step k is Gaussian, with mean
+        # T^k m0 and covariance S_k = T S_{k-1} T^T + Q from S_0 = 0; the mean
+        # of `chains` rows is off T^k m0 by about sqrt(trace S_k / chains), so
+        # the hit lies in [k(eps + delta), k(eps - delta)], with k(x) the first
+        # step where |T^k m0 - target| <= x and delta four times that spread
+        model = builtin_potential(name, **params)
+        d, alphas, chains, eps, init_q, cap = model.dim, [0.0, 0.5, 1.0], 10_000, 0.2, 3.0, 200
+        table = sweep_iteration_complexity(model, alphas, [gamma], [h], eps, chains=chains, seeds=(3,), cap=cap,
+                                           init_q=init_q)
+        for alpha, row in zip(alphas, table):
+            exact = step_affine_map("hfhr_strang", model.quadratic_hessian, alpha, gamma, h)
+            mean, cov = np.concatenate([np.full(d, init_q), np.zeros(d)]), np.zeros((2 * d, 2 * d))
+            window = [None, None]
+            for k in range(1, cap + 1):
+                mean, cov = exact.T @ mean, exact.T @ cov @ exact.T.T + exact.Q
+                error = np.linalg.norm(mean[:d] - model.target_mean)
+                delta = 4.0 * math.sqrt(np.trace(cov[:d, :d]) / chains)
+                for side, bound in enumerate((eps + delta, eps - delta)):
+                    if window[side] is None and error <= bound:
+                        window[side] = k
+            assert window[1] is not None and window[0] <= row.iterations_mean <= window[1], (alpha, window, row)
+
+    def test_an_empty_grid_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name))
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        table = sweep_iteration_complexity(model, [0.0, 1.0], [], [0.5], eps=0.1, chains=10, seeds=(0, 1), cap=5)
+        assert [(row.best_gamma, row.iterations_mean) for row in table] == [(None, math.inf)] * 2
+        assert started == []
+
+    def test_no_worker_warns(self):
+        # the pairs of the divergence case overflow on their way out; each
+        # thread silences that in its own errstate, whatever the caller's
+        alphas, gammas, steps_grid, eps, init_q, seeds = SWEEP_CASES["divergence"]
+        model = builtin_potential("quadratic_iso", m=1.0, d=2)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+            warnings.simplefilter("always")
+            table = sweep_iteration_complexity(
+                model, alphas, gammas, steps_grid, eps=eps, chains=200, seeds=seeds, cap=150, init_q=init_q
+            )
+        assert [row.iterations_mean for row in table] == [8.0, math.inf]
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("bad, name", [
+        (dict(chains=0), "chains"), (dict(chains=-5), "chains"), (dict(chains=2.5), "chains"), (dict(cap=-3), "cap"),
+    ])
+    def test_chains_and_cap_are_checked(self, bad, name):
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        kwargs = dict(eps=0.1, chains=10, seeds=(0,), cap=5) | bad
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {int(name == 'chains')}$"):
+            sweep_iteration_complexity(model, [0.0], [2.0], [0.5], **kwargs)
 
     def test_threshold_already_met_is_zero_iterations(self):
         model = builtin_potential("quadratic_iso", m=1.0, d=1)

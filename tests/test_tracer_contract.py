@@ -9,6 +9,7 @@ as its own tests import it.
 
 import math
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,26 @@ def test_a_traced_small_job_restores_every_name_and_reports_finite_layers(tmp_pa
     assert all(getattr(owner, attr) is original for (owner, attr), original in zip(patched, originals))
     values = tracing.layer_metrics(tracer, 1, workload.sweep_goal)
     assert values and all(math.isfinite(value) for value in values.values()), values
+
+
+def test_a_traced_sweep_charges_every_step_to_the_sweep_span(tmp_path):
+    # a span opened on a thread with no span of its own takes the installing
+    # thread's innermost open span as its parent; the sweep's caller waits
+    # for its two stepping threads without opening one, so harness.sweep.
+    # steps_run counts every step, and it makes each stepper itself, so
+    # harness.sweep.pair_runs counts every pair
+    workload = workloads.WORKLOADS["iter-sweep"](0, str(tmp_path), small=True)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, workload)
+    try:
+        workload.job()
+    finally:
+        restore()
+    spans = tracer.spans
+    (sweep,) = [i for i, rec in enumerate(spans) if rec[0] == "harness.sweep"]
+    steps = [rec for rec in spans if rec[0] == "samplers.step"]
+    makers = [rec for rec in spans if rec[0] == "samplers.make_stepper"]
+    assert steps and all(rec[4] == sweep for rec in steps)
+    assert len({rec[1] for rec in steps} - {threading.get_ident()}) == 2
+    assert len(makers) == workload.ops_per_job
+    assert all(rec[1] == threading.get_ident() and rec[4] == sweep for rec in makers)
