@@ -16,12 +16,14 @@ either way.  A group stops at its first non-finite row, since a config's
 output ends at its first divergence.  A config's records are merged and
 scored as stacked arrays (``_moment_values``).  The iteration sweep steps
 its (gamma, h) pairs on two threads of its own, each pair pinned to one
-(``_step_pass``).
+(``_step_pass``), and draws each seed's first noise slab once for all its
+alphas (``_SharedSlab``).
 """
 
 from __future__ import annotations
 
 import collections
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -827,28 +829,41 @@ class SweepRow:
 
 
 class _SharedSlab:
-    """One step's noise slab, drawn once from ``source`` and read by each pair.
+    """One step's noise slab for the scans of one sweep seed, read by each pair.
 
-    The pairs of a lockstep sweep run one kernel on one stream, so a step's
-    slab is the same for all of them: ``draw`` refills it in place, and
-    ``normals`` hands every pair the same view.  The view is read-only: a
-    kernel that wrote into its noise would otherwise change it for the pairs
-    after it.
+    The pairs of a lockstep scan run one kernel on one stream, so a step's
+    slab is the same for all of them, and every scan of a seed reads the
+    stream ``RandomSource(seed, 0)`` from its start.  ``draw(1)`` hands out
+    the seed's first slab, drawn when a scan first needs it and kept for the
+    seed's other scans; ``draw(n)`` for a later pass refills ``work`` in
+    place from the scan's own copy of the stream as it stood after that
+    first slab.  ``normals`` hands every pair the same view.  The views are
+    read-only: a kernel that wrote into its noise would otherwise change it
+    for the pairs, or the scans, after it.
     """
 
-    def __init__(self, source: RandomSource, shape: tuple):
+    def __init__(self, seed: int, work: np.ndarray):
+        self._source = RandomSource(seed, 0)
         # perfbench's tracer reads the seed of the noise a sweep stepper is
         # handed; without it the traced iter-sweep run exits 1
-        self.seed = source.seed
-        self._source = source
-        # from malloc, not _mapped_empty: with an mmap'd slab perfbench's
-        # iter-sweep job took about 30% longer on 2 vCPUs
-        self._slab = np.empty(shape)
-        self._view = self._slab.view()
-        self._view.flags.writeable = False
+        self.seed = self._source.seed
+        self._first = self._scan_source = None
+        self._work = work
+        self._work_view = work.view()
+        self._work_view.flags.writeable = False
+        self._view = None
 
-    def draw(self) -> None:
-        self._source.normals(self._slab.shape, out=self._slab)
+    def draw(self, n: int) -> None:
+        """Make the slab of pass ``n`` (from 1) of a scan the one handed out."""
+        if n > 1:
+            self._scan_source.normals(self._work.shape, out=self._work)
+            self._view = self._work_view
+            return
+        if self._first is None:
+            self._first = self._source.normals(self._work.shape)
+            self._first.flags.writeable = False
+        self._view = self._first
+        self._scan_source = copy.deepcopy(self._source)
 
     def normals(self, shape) -> np.ndarray:
         return self._view
@@ -925,49 +940,68 @@ def sweep_iteration_complexity(
     (gamma, h) is the winner of the first seed, in ``seeds`` order, that
     hits.  An alpha with no hit on any seed reports infinity.
 
-    The pairs of one (alpha, seed) advance in lockstep, one step at a time
-    in grid order (gamma outer, h inner), on one noise slab of the stream
-    ``RandomSource(seed, 0)`` drawn once per step: each pair sees the
-    numbers it would see run alone.  A diverging pair leaves; the scan stops
-    at the first step where a pair hits, and the first such pair in grid
-    order wins.  Lockstep holds one state per live pair, pairs x chains x
-    dim x 16 bytes, and the slab, chains x dim x 40 bytes.
+    The pairs of one (alpha, seed) scan advance in lockstep, one step at a
+    time in grid order (gamma outer, h inner), on one noise slab of the
+    stream ``RandomSource(seed, 0)`` per step: each pair sees the numbers it
+    would see run alone.  A diverging pair leaves; the scan stops at the
+    first step where a pair hits, and the first such pair in grid order
+    wins.  Lockstep holds one state per live pair, pairs x chains x dim x 16
+    bytes.
 
-    Each pass, the calling thread draws the slab, then two threads, which
-    live for this call, step the live pairs: pair i of the grid always on
-    thread i mod 2, each thread in grid order with its own hit check (see
-    ``_step_pass``).  The first pair in grid order that hits or raises
-    stops the pass; at most one pair after it takes a step that is thrown
-    away.  The caller reads the outcomes in grid order, so the rows, the
-    winners and the errors raised are those of a one-thread scan.  Each
-    thread holds one more step in flight, about 4 MB at 10,000 chains and
-    dim 10.
+    The scans run seed-major: seed outer, alpha inner.  Every scan of a seed
+    starts the same stream, so the seed's first slab is drawn once, by the
+    first scan that steps, and pass 1 of every scan of the seed reads it; a
+    scan that reaches pass 2 draws on from its own copy of the stream, into
+    one working slab that the sweep holds (``_SharedSlab``).  The two slabs
+    take chains x dim x 80 bytes.  If scans raise, the error raised is that
+    of the first raising scan in (alpha, seed) order, as in an alpha-major
+    scan; a scan after it in that order does not start.
+
+    Each pass, the calling thread draws the slab, unless it is a first slab
+    already drawn, then two threads, which live for this call, step the
+    live pairs: pair i of the grid always on thread i mod 2, each thread in
+    grid order with its own hit check (see ``_step_pass``).  The first pair
+    in grid order that hits or raises stops the pass; at most one pair
+    after it takes a step that is thrown away.  The caller reads the
+    outcomes in grid order, so the rows, the winners and the errors raised
+    are those of a one-thread scan.  Each thread holds one more step in
+    flight, about 4 MB at 10,000 chains and dim 10.
     """
-    if eps <= 0:
+    alphas, seeds = [float(alpha) for alpha in alphas], tuple(seeds)
+    if not eps > 0:
         raise ValueError("eps must be > 0")
     if not _integer(chains) or chains < 1:
         raise ValueError("chains must be an integer >= 1")
     if not _integer(cap) or cap < 0:
         raise ValueError("cap must be an integer >= 0")
+    if not finite_number(init_q):
+        raise ValueError("init_q must be a finite number")
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     if model.target_mean is None:
         raise ValueError("sweep requires a potential with a known target mean")
     target = model.target_mean
+    # the steps only read it, so every pair of every scan starts from this state
+    state = ChainState(
+        q=np.full((chains, model.dim), float(init_q)),
+        p=np.zeros((chains, model.dim)),
+    )
+    # the mean of a start near overflow may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        starts_within = np.linalg.norm(state.q.mean(axis=0) - target) <= eps
+    combos = [(float(gamma), float(h)) for gamma in gammas for h in steps_grid]
 
-    def first_hit(configs, seed):
+    def first_hit(alpha, slab):
         """(step, pair index) of the earliest hit, or (None, None)."""
-        steppers = [make_stepper(model, config) for config in configs]
-        state = ChainState(
-            q=np.full((chains, model.dim), float(init_q)),
-            p=np.zeros((chains, model.dim)),
-        )
-        if steppers and np.linalg.norm(state.q.mean(axis=0) - target) <= eps:
+        steppers = [make_stepper(model, SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=alpha))
+                    for gamma, h in combos]
+        if steppers and starts_within:
             return 0, 0
-        slab = _SharedSlab(RandomSource(seed, 0), (KERNELS["hfhr_strang"].draws,) + state.q.shape)
         live = [(i, iterate_chain(state, stepper, cap, slab)) for i, stepper in enumerate(steppers)]
-        for _ in range(cap):  # every live pair steps once a pass, up to the cap
+        for n in range(1, cap + 1):  # every live pair steps once a pass, up to the cap
             if not live:
                 break
-            slab.draw()
+            slab.draw(n)
             outcomes = _step_pass(workers, live, target, eps)
             survivors = []
             for i, chain in live:
@@ -982,34 +1016,48 @@ def sweep_iteration_complexity(
             live = survivors
         return None, None
 
-    combos = [(float(gamma), float(h)) for gamma in gammas for h in steps_grid]
-    table = []
+    hits = [[] for _ in alphas]  # per alpha, first_hit of each seed
+    error, later = None, len(alphas)  # the scans of alphas[later:] no longer start
+    # from malloc, not _mapped_empty: with an mmap'd slab perfbench's
+    # iter-sweep job took about 30% longer on 2 vCPUs
+    work = np.empty((KERNELS["hfhr_strang"].draws,) + state.q.shape)
     # a thread starts at its first task: none for an empty grid, one for one pair
     with (
         ThreadPoolExecutor(1, thread_name_prefix="hfhr-sweep_0") as even,
         ThreadPoolExecutor(1, thread_name_prefix="hfhr-sweep_1") as odd,
     ):
         workers = [even, odd]
-        for alpha in alphas:
-            configs = [SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=float(alpha))
-                       for gamma, h in combos]
-            hits = [first_hit(configs, seed) for seed in seeds]
-            finite = [k for k, _ in hits if k is not None]
-            if not finite:
-                table.append(SweepRow(alpha=float(alpha), best_gamma=None, best_step=None,
-                                      iterations_mean=math.inf, iterations_std=math.inf))
-            else:
-                best_gamma, best_step = combos[next(i for k, i in hits if k is not None)]
-                arr = np.array(finite, dtype=float)
-                table.append(
-                    SweepRow(
-                        alpha=float(alpha),
-                        best_gamma=best_gamma,
-                        best_step=best_step,
-                        iterations_mean=float(arr.mean()),
-                        iterations_std=float(arr.std()),
-                    )
+        for seed in seeds:
+            slab = _SharedSlab(seed, work)
+            for a in range(later):
+                try:
+                    hits[a].append(first_hit(alphas[a], slab))
+                except Exception as exc:
+                    # any scan that raises later has a later seed, so it
+                    # comes first in (alpha, seed) order only at a smaller alpha
+                    error, later = exc, a
+                    break
+    if error is not None:
+        raise error
+
+    table = []
+    for alpha, per_seed in zip(alphas, hits):
+        finite = [k for k, _ in per_seed if k is not None]
+        if not finite:
+            table.append(SweepRow(alpha=alpha, best_gamma=None, best_step=None,
+                                  iterations_mean=math.inf, iterations_std=math.inf))
+        else:
+            best_gamma, best_step = combos[next(i for k, i in per_seed if k is not None)]
+            arr = np.array(finite, dtype=float)
+            table.append(
+                SweepRow(
+                    alpha=alpha,
+                    best_gamma=best_gamma,
+                    best_step=best_step,
+                    iterations_mean=float(arr.mean()),
+                    iterations_std=float(arr.std()),
                 )
+            )
     return table
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import errno
 import functools
@@ -994,6 +995,16 @@ def lockstep_calls(model, configs, seed, chains, cap, eps, init_q):
     ), True
 
 
+def lockstep_passes(model, configs, seed, chains, cap, eps, init_q):
+    """Passes of a lockstep scan of ``configs``: up to the first hit, and
+    without one until the last pair diverges or reaches the cap."""
+    hits = [serial_pair_hit(model, config, seed, chains, cap, eps, init_q) for config in configs]
+    best = min((k for k in hits if isinstance(k, int)), default=None)
+    if best is not None:
+        return best
+    return max((pair_calls(model, config, seed, chains, cap, eps, init_q) for config in configs), default=0)
+
+
 # (alphas, gammas, steps_grid, eps, init_q, seeds), each named for what it covers
 SWEEP_CASES = {
     # at alpha = 1 every pair hits at step 2 on seed 0: the first pair wins
@@ -1075,6 +1086,13 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "make_stepper", make_writing_stepper)
         model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        drawn, normals = [], RandomSource.normals
+
+        def counted(source, shape, out=None):
+            drawn.append(out is None)
+            return normals(source, shape, out=out)
+
+        monkeypatch.setattr(RandomSource, "normals", counted)
         with np.errstate(over="warn", invalid="warn"):
             before = np.geterr()
             with pytest.raises(ValueError, match="read-only"):
@@ -1082,6 +1100,8 @@ class TestSweep:
                     model, alphas=[1.0], gammas=[2.0], steps_grid=[0.5, 0.2], eps=0.01, chains=50, seeds=(0,), cap=20
                 )
             assert np.geterr() == before
+        # it failed on the seed's first slab, the one every scan of the seed reads
+        assert drawn == [True]
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_each_pair_keeps_its_thread_and_at_most_one_step_per_hit_is_thrown_away(self, monkeypatch, case):
@@ -1115,13 +1135,93 @@ class TestSweep:
         by_parity = [{t for j, threads in enumerate(made) if j % pairs % 2 == w for t in threads} for w in range(2)]
         assert all(len(ids) <= 1 for ids in by_parity) and not by_parity[0] & by_parity[1]
         assert threading.get_ident() not in by_parity[0] | by_parity[1]
+        # the sweep runs its scans seed-major
         scans = iter(made[i : i + pairs] for i in range(0, len(made), pairs))
-        for alpha in alphas:
-            configs = [SamplerConfig("hfhr_strang", h, g, alpha) for g in gammas for h in steps_grid]
-            for seed in seeds:
+        for seed in seeds:
+            for alpha in alphas:
+                configs = [SamplerConfig("hfhr_strang", h, g, alpha) for g in gammas for h in steps_grid]
                 calls = sum(len(threads) for threads in next(scans))
                 serial, hit = lockstep_calls(model, configs, seed, 200, 150, eps, init_q)
                 assert serial <= calls <= serial + hit, (alpha, seed)
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_each_seed_draws_its_first_slab_once(self, monkeypatch, case):
+        # every scan of a seed reads the same first slab; a scan draws only
+        # its passes after the first
+        alphas, gammas, steps_grid, eps, init_q, seeds = SWEEP_CASES[case]
+        model = builtin_potential("quadratic_iso", m=1.0, d=2)
+        kwargs = dict(eps=eps, chains=200, seeds=seeds, cap=150, init_q=init_q)
+        expected = serial_sweep(model, alphas, gammas, steps_grid, **kwargs)
+        passes = [
+            [lockstep_passes(model, [SamplerConfig("hfhr_strang", h, g, alpha) for g in gammas for h in steps_grid],
+                             seed, 200, 150, eps, init_q) for alpha in alphas]
+            for seed in seeds
+        ]
+        draws = [int(max(per_seed) > 0) + sum(max(n - 1, 0) for n in per_seed) for per_seed in passes]
+        drawn, normals = collections.Counter(), RandomSource.normals
+
+        def counted(source, shape, out=None):
+            drawn[source.seed] += 1
+            return normals(source, shape, out=out)
+
+        monkeypatch.setattr(RandomSource, "normals", counted)
+        assert sweep_iteration_complexity(model, alphas, gammas, steps_grid, **kwargs) == expected
+        assert [drawn[seed] for seed in seeds] == draws
+        # a slab a pass, as each scan drawing its own would take, is more
+        if case != "start-within-eps":
+            assert all(n < sum(per_seed) for n, per_seed in zip(draws, passes))
+
+    @pytest.mark.parametrize("case", ["divergence", "tie"])
+    def test_each_pair_reads_the_numbers_it_would_read_alone(self, monkeypatch, case):
+        alphas, gammas, steps_grid, eps, init_q, seeds = SWEEP_CASES[case]
+        model = builtin_potential("quadratic_iso", m=1.0, d=2)
+        read = []  # per stepper call: (alpha, seed, pass, the noise it read)
+
+        def recording_make_stepper(model, config):
+            step, calls = make_stepper(model, config), []
+
+            def recorded(state, rng):
+                calls.append(1)
+                read.append((config.alpha, rng.seed, len(calls), rng.normals((5,) + np.shape(state.q)).copy()))
+                return step(state, rng)
+
+            return recorded
+
+        monkeypatch.setattr(harness, "make_stepper", recording_make_stepper)
+        sweep_iteration_complexity(model, alphas, gammas, steps_grid, eps=eps, chains=200, seeds=seeds, cap=150,
+                                   init_q=init_q)
+        for seed in seeds:
+            source = RandomSource(seed, 0)
+            slabs = [source.normals((5, 200, 2)) for _ in range(max(n for _, s, n, _ in read if s == seed))]
+            assert all(np.array_equal(z, slabs[n - 1]) for _, s, n, z in read if s == seed)
+        # in the tie case both scans of seed 0 read a second slab, each from its own copy of the stream
+        if case == "tie":
+            assert {alpha for alpha, s, n, _ in read if (s, n) == (0, 2)} == set(alphas)
+
+    def test_the_first_raising_scan_in_alpha_seed_order_raises(self, monkeypatch):
+        # seed-major, scan (1.0, seed 0) raises before scan (0.0, seed 1); an
+        # alpha-major scan meets (0.0, seed 1) first, and its error is raised
+        model = builtin_potential("quadratic_iso", m=1.0, d=2)
+        stepped = set()
+
+        def make_raising_stepper(model, config):
+            step = make_stepper(model, config)
+
+            def raising(state, rng):
+                stepped.add((config.alpha, rng.seed))
+                if (config.alpha, rng.seed) in {(1.0, 0), (0.0, 1), (1.0, 2)}:
+                    raise RuntimeError(f"scan {config.alpha}, {rng.seed} failed")
+                return step(state, rng)
+
+            return raising
+
+        monkeypatch.setattr(harness, "make_stepper", make_raising_stepper)
+        with pytest.raises(RuntimeError, match="^scan 0.0, 1 failed$"):
+            sweep_iteration_complexity(model, [0.0, 1.0], [1.0, 2.0], [0.5], eps=0.3, chains=200, seeds=(0, 1, 2),
+                                       cap=150)
+        # no scan starts that comes after a raising one in (alpha, seed) order,
+        # once that one has raised: not (1.0, 1), and nothing on seed 2
+        assert stepped == {(0.0, 0), (1.0, 0), (0.0, 1)}
 
     @pytest.mark.parametrize("raiser", [0, 1])
     def test_the_first_hit_or_raise_in_grid_order_decides_the_pass(self, monkeypatch, raiser):
@@ -1215,6 +1315,27 @@ class TestSweep:
         kwargs = dict(eps=0.1, chains=10, seeds=(0,), cap=5) | bad
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= {int(name == 'chains')}$"):
             sweep_iteration_complexity(model, [0.0], [2.0], [0.5], **kwargs)
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(eps=math.nan), "eps must be > 0"),
+        (dict(init_q=math.nan), "init_q must be a finite number"),
+        (dict(init_q=math.inf), "init_q must be a finite number"),
+        (dict(seeds=()), "seeds must not be empty"),
+    ], ids=["eps-nan", "init_q-nan", "init_q-inf", "seeds-empty"])
+    def test_eps_init_q_and_seeds_are_checked(self, bad, message):
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        kwargs = dict(eps=0.1, chains=10, seeds=(0,), cap=5) | bad
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep_iteration_complexity(model, [0.0], [2.0], [0.5], **kwargs)
+
+    def test_a_start_near_overflow_does_not_warn(self):
+        # the start check's mean of 10 rows of 1e308 overflows on the calling thread
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            table = sweep_iteration_complexity(model, [0.0, 1.0], [2.0], [0.5], eps=0.1, chains=10, seeds=(0,),
+                                               cap=5, init_q=1e308)
+        assert [row.iterations_mean for row in table] == [math.inf, math.inf]
 
     def test_threshold_already_met_is_zero_iterations(self):
         model = builtin_potential("quadratic_iso", m=1.0, d=1)
