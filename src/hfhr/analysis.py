@@ -95,6 +95,14 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be > 0")
 
 
+def _require_nonnegative(**values: float) -> None:
+    """Raise a ValueError naming the first value that is not finite, or else not >= 0."""
+    _require_finite(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 def _w2_rate(alpha: float, gamma: float, m: float) -> float:
     """The paper's W2 contraction rate m/gamma + m alpha: underdamped
     Langevin's m/gamma plus the additional acceleration m alpha.
@@ -223,9 +231,13 @@ def w2_bound_discrete(
 ) -> float:
     """Discrete-time W2 bound: sqrt(2) kappa' e^{-rate k h} W2(0) + sqrt(2) C h.
 
-    The rate and kappa' are rate_bound_w2's, under its rules (m > 0).
+    The rate and kappa' are rate_bound_w2's, under its rules (m > 0).  h
+    must be finite and > 0, and k, w2_init and C finite and >= 0, or a
+    ValueError names one that is not.
     """
     bound = rate_bound_w2(alpha, gamma, m, L)
+    _require_positive(h=h)
+    _require_nonnegative(k=k, w2_init=w2_init, C=C)
     return math.sqrt(2.0) * bound.prefactor * math.exp(-bound.rate * k * h) * w2_init + (
         math.sqrt(2.0) * C * h
     )
@@ -249,10 +261,8 @@ def iteration_complexity(
     rate is ``_w2_rate``.  Every input must be finite, alpha >= 0 and the
     rest > 0, or a ValueError names one that is not.
     """
-    _require_finite(alpha=alpha)
+    _require_nonnegative(alpha=alpha)
     _require_positive(m=m, gamma=gamma, C=C, h0=h0, eps=eps, kappa_prime=kappa_prime, w2_init=w2_init)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     rate = _w2_rate(alpha, gamma, m)
     root8 = 2.0 * math.sqrt(2.0)
     h_star = min(h0, eps / (root8 * C))
@@ -267,10 +277,9 @@ def discretization_constant_bound(b1: float, b2: float, alpha: float, m: float, 
     The denominator is ``_w2_rate``.  Every input must be finite, with m and
     gamma > 0 and alpha >= 0, or a ValueError names one that is not.
     """
-    _require_finite(b1=b1, b2=b2, alpha=alpha)
+    _require_finite(b1=b1, b2=b2)
+    _require_nonnegative(alpha=alpha)
     _require_positive(m=m, gamma=gamma)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     return (b1 * alpha**3 + b2) / _w2_rate(alpha, gamma, m)
 
 
@@ -280,10 +289,10 @@ def optimal_alpha(b1: float, b2: float, gamma: float) -> float:
     The strong-convexity scale m cancels from the argmin.  Stationarity
     reduces to the cubic b1 a^3 + (3 b1 / gamma) a^2 - 2 b2 = 0, which has
     exactly one positive root; the other two sum to -3/gamma minus it, so it
-    is the largest real part of the three.
+    is the largest real part of the three.  b1, b2 and gamma must be
+    finite and > 0, or a ValueError names one that is not.
     """
-    if b1 <= 0 or b2 <= 0 or gamma <= 0:
-        raise ValueError("b1, b2 and gamma must be > 0")
+    _require_positive(b1=b1, b2=b2, gamma=gamma)
     return float(np.roots([b1, 3.0 * b1 / gamma, 0.0, -2.0 * b2]).real.max())
 
 
@@ -291,8 +300,10 @@ def step_thresholds(L: float, m: float, G: float, alpha: float, gamma: float) ->
     """Evaluate the admissible-step formulas h0 = min{1/(4 k' L'), h1, h2, h3}.
 
     These are conservative; only their functional form is meaningful.
-    Requires gamma^2 > L so the contraction rate is positive.
+    Requires gamma^2 > L so the contraction rate is positive, and a finite
+    G >= 0, besides theory_constants' rules.
     """
+    _require_nonnegative(G=G)
     if gamma * gamma <= L:
         raise ValueError("step thresholds require gamma^2 > L")
     consts = theory_constants(L, m, alpha, gamma)
@@ -543,14 +554,20 @@ def gaussian_continuous_propagation(
     diag(H^{-1}, I) solves A S + S A^T + D = 0 for every alpha and gamma, so
     S(t) = S_inf + e^{At}(cov0 - S_inf)e^{A^T t}, one matrix exponential per
     time.  ``t`` may be a scalar or a nondecreasing sequence; a matching
-    GaussianSummary (or list thereof) is returned.
+    GaussianSummary (or list thereof) is returned.  alpha and gamma must be
+    finite, alpha >= 0 and gamma > 0, and every time finite, or a
+    ValueError names the parameter.
     """
+    _require_nonnegative(alpha=alpha)
+    _require_positive(gamma=gamma)
     H = np.atleast_2d(np.asarray(H, dtype=float))
     eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
     if np.max(np.abs(H - H.T)) > 1e-10 * max(1.0, np.abs(H).max()) or eigs.min() <= 0:
         raise ValueError("H must be symmetric positive definite")
     scalar = np.isscalar(t)
     times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("t must be finite")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonnegative and nondecreasing")
     n = H.shape[0]

@@ -31,6 +31,7 @@ import html
 import json
 import math
 import mmap
+import numbers
 import os
 import sys
 import tempfile
@@ -182,7 +183,8 @@ def _check_keys(obj: dict, allowed: set, where: str):
 
 
 def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _positive_number(value) -> bool:
@@ -953,9 +955,10 @@ def sweep_iteration_complexity(
     first scan that steps, and pass 1 of every scan of the seed reads it; a
     scan that reaches pass 2 draws on from its own copy of the stream, into
     one working slab that the sweep holds (``_SharedSlab``).  The two slabs
-    take chains x dim x 80 bytes.  If scans raise, the error raised is that
-    of the first raising scan in (alpha, seed) order, as in an alpha-major
-    scan; a scan after it in that order does not start.
+    take chains x dim x 80 bytes.  Every (alpha, gamma, h) ``SamplerConfig``
+    is built before the first draw, so an invalid grid value raises its
+    ValueError before any work.  A scan that raises ends the sweep with its
+    own error, and no scan after it in seed-major order starts.
 
     Each pass, the calling thread draws the slab, unless it is a first slab
     already drawn, then two threads, which live for this call, step the
@@ -978,6 +981,8 @@ def sweep_iteration_complexity(
         raise ValueError("init_q must be a finite number")
     if not seeds:
         raise ValueError("seeds must not be empty")
+    if not all(_integer(seed) and seed >= 0 for seed in seeds):
+        raise ValueError("seeds must be non-negative integers")
     if model.target_mean is None:
         raise ValueError("sweep requires a potential with a known target mean")
     target = model.target_mean
@@ -990,11 +995,13 @@ def sweep_iteration_complexity(
     with np.errstate(over="ignore", invalid="ignore"):
         starts_within = np.linalg.norm(state.q.mean(axis=0) - target) <= eps
     combos = [(float(gamma), float(h)) for gamma in gammas for h in steps_grid]
+    # per alpha, its grid's configs: an invalid value raises here, before any draw
+    grids = [[SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=alpha) for gamma, h in combos]
+             for alpha in alphas]
 
-    def first_hit(alpha, slab):
+    def first_hit(configs, slab):
         """(step, pair index) of the earliest hit, or (None, None)."""
-        steppers = [make_stepper(model, SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=alpha))
-                    for gamma, h in combos]
+        steppers = [make_stepper(model, config) for config in configs]
         if steppers and starts_within:
             return 0, 0
         live = [(i, iterate_chain(state, stepper, cap, slab)) for i, stepper in enumerate(steppers)]
@@ -1017,7 +1024,6 @@ def sweep_iteration_complexity(
         return None, None
 
     hits = [[] for _ in alphas]  # per alpha, first_hit of each seed
-    error, later = None, len(alphas)  # the scans of alphas[later:] no longer start
     # from malloc, not _mapped_empty: with an mmap'd slab perfbench's
     # iter-sweep job took about 30% longer on 2 vCPUs
     work = np.empty((KERNELS["hfhr_strang"].draws,) + state.q.shape)
@@ -1029,16 +1035,8 @@ def sweep_iteration_complexity(
         workers = [even, odd]
         for seed in seeds:
             slab = _SharedSlab(seed, work)
-            for a in range(later):
-                try:
-                    hits[a].append(first_hit(alphas[a], slab))
-                except Exception as exc:
-                    # any scan that raises later has a later seed, so it
-                    # comes first in (alpha, seed) order only at a smaller alpha
-                    error, later = exc, a
-                    break
-    if error is not None:
-        raise error
+            for per_seed, configs in zip(hits, grids):
+                per_seed.append(first_hit(configs, slab))
 
     table = []
     for alpha, per_seed in zip(alphas, hits):
@@ -1083,23 +1081,33 @@ def write_csv(series: ResultSeries, path: str) -> None:
 
 
 def read_csv(path: str) -> list:
-    """Round-trip parser for files produced by write_csv."""
+    """Round-trip parser for files produced by write_csv.
+
+    A row without exactly the header's fields, or with a field that does
+    not parse, raises a ValueError naming the path and the line."""
+    header = CSV_HEADER.split(",")
     with open(path, newline="") as fh:
-        lines = list(csv.reader(fh))
-    if not lines or lines[0] != CSV_HEADER.split(","):
-        raise ValueError(f"{path} is not a result CSV")
-    out = []
-    for cid, step, time, metric, value, stderr, flag in lines[1:]:
-        out.append(
-            ResultRow(
-                config_id=cid,
-                step=int(step),
-                time=float(time),
-                value=float(value),
-                stderr=None if stderr == "" else float(stderr),
-                flag=flag,
-            )
-        )
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError(f"{path} is not a result CSV")
+        out = []
+        for fields in reader:
+            try:
+                if len(fields) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+                cid, step, time, _, value, stderr, flag = fields
+                out.append(
+                    ResultRow(
+                        config_id=cid,
+                        step=int(step),
+                        time=float(time),
+                        value=float(value),
+                        stderr=None if stderr == "" else float(stderr),
+                        flag=flag,
+                    )
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     return out
 
 

@@ -142,13 +142,17 @@ def mean_error(summary: GaussianSummary, target_mean) -> float:
 
 
 def loglog_slope(xs, ys) -> tuple[float, float, float]:
-    """Least-squares fit of log y on log x; returns (slope, intercept, r2)."""
+    """Least-squares fit of log y on log x; returns (slope, intercept, r2).
+
+    Every x and y must be finite and > 0, or a ValueError names the one of
+    ``xs`` and ``ys`` that is not."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size < 3 or y.size != x.size:
         raise ValueError("need at least 3 matching points")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("log-log fit requires positive data")
+    for name, values in (("xs", x), ("ys", y)):
+        if not np.all((values > 0) & np.isfinite(values)):
+            raise ValueError(f"{name} must be finite and > 0 for a log-log fit")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

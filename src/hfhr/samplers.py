@@ -10,8 +10,9 @@ Four kernels are provided:
     half step, 1 for the flow and 2 for the second half step.
 ``uld_klmc``
     First-order KLMC: the underdamped Langevin update integrated exactly
-    over one step with the gradient frozen at the incoming position; 2
-    normals per coordinate, the OU pair.
+    over one step with the gradient frozen at the incoming position: the
+    same OU update as ``hfhr_strang``'s half steps, with that gradient as
+    its force; 2 normals per coordinate, the OU pair.
 ``ula``
     Euler-Maruyama on overdamped Langevin; momentum is carried untouched.
     1 normal per coordinate.
@@ -146,8 +147,6 @@ class PhiFlowKernel:
     phi_covariance(gamma, t) per coordinate.
     """
 
-    gamma: float
-    t: float
     drift: float  # (1 - e^{-gamma t}) / gamma
     decay: float  # e^{-gamma t}
     cov: np.ndarray
@@ -165,14 +164,7 @@ def phi_kernel(gamma: float, t: float) -> PhiFlowKernel:
     m21 = cov[0, 1] / m11 if m11 > 0 else 0.0  # v_qq underflowed: no q noise to pair with
     m22 = math.sqrt(max(cov[1, 1] - m21 * m21, 0.0))
     chol = np.array([[m11, 0.0], [m21, m22]])
-    return PhiFlowKernel(
-        gamma=gamma,
-        t=t,
-        drift=drift,
-        decay=math.exp(-x),
-        cov=cov,
-        chol=chol,
-    )
+    return PhiFlowKernel(drift=drift, decay=math.exp(-x), cov=cov, chol=chol)
 
 
 def _targets(state: ChainState, out: Optional[ChainState]) -> tuple:
@@ -183,16 +175,27 @@ def _targets(state: ChainState, out: Optional[ChainState]) -> tuple:
     return out, np.empty(shape)
 
 
-def _ou(q, p, kernel: PhiFlowKernel, z, out: ChainState, t) -> ChainState:
+def _ou(q, p, kernel: PhiFlowKernel, z, out: ChainState, t, force=None) -> ChainState:
     """The OU substep on the normal pair ``z[0]``, ``z[1]`` of each coordinate, into ``out``:
-    q + drift p + m00 z0 and decay p + m10 z0 + m11 z1."""
+    q + drift p + m00 z0 and decay p + m10 z0 + m11 z1.
+
+    ``force`` is ``(g, cq, cp)``, a gradient frozen over the step: cq g and
+    cp g are subtracted right after the q and p drift terms.  ``None`` is
+    the free flow."""
     m = kernel.chol
     out_q, out_p = out.q, out.p
     np.multiply(p, kernel.drift, out=t)
     np.add(q, t, out=out_q)
+    if force is not None:
+        g, cq, cp = force
+        np.multiply(g, cq, out=t)
+        out_q -= t
     np.multiply(z[0], m[0, 0], out=t)
     out_q += t
     np.multiply(p, kernel.decay, out=out_p)
+    if force is not None:
+        np.multiply(g, cp, out=t)
+        out_p -= t
     np.multiply(z[0], m[1, 0], out=t)
     out_p += t
     np.multiply(z[1], m[1, 1], out=t)
@@ -258,33 +261,14 @@ def _uld_klmc(model: PotentialModel, config: SamplerConfig):
     """First-order KLMC: exact OU transition with the gradient frozen at q0."""
     h = config.step
     kernel = phi_kernel(config.gamma, h)
-    c1 = kernel.drift
     x = config.gamma * h
-    # (h - c1) / gamma cancels as x -> 0; below 1e-4 its expansion h^2 (1/2 - x/6 + x^2/24)
-    c2 = h * h * (0.5 - x / 6.0 + x * x / 24.0) if x < 1e-4 else (h - c1) / config.gamma
-    m = kernel.chol
+    # (h - drift) / gamma cancels as x -> 0; below 1e-4 its expansion h^2 (1/2 - x/6 + x^2/24)
+    c2 = h * h * (0.5 - x / 6.0 + x * x / 24.0) if x < 1e-4 else (h - kernel.drift) / config.gamma
 
     def step(state, rng, out=None):
         g = model.grad(state.q)
         z = rng.normals((2,) + np.shape(state.q))
-        out, t = _targets(state, out)
-        q, p = out.q, out.p
-        # q + c1 p - c2 g + m00 z0
-        np.multiply(state.p, c1, out=t)
-        np.add(state.q, t, out=q)
-        np.multiply(g, c2, out=t)
-        q -= t
-        np.multiply(z[0], m[0, 0], out=t)
-        q += t
-        # decay p - c1 g + m10 z0 + m11 z1
-        np.multiply(state.p, kernel.decay, out=p)
-        np.multiply(g, c1, out=t)
-        p -= t
-        np.multiply(z[0], m[1, 0], out=t)
-        p += t
-        np.multiply(z[1], m[1, 1], out=t)
-        p += t
-        return out
+        return _ou(state.q, state.p, kernel, z, *_targets(state, out), force=(g, c2, kernel.drift))
 
     return step
 

@@ -312,6 +312,39 @@ class TestDiscreteBounds:
         with pytest.raises(ValueError, match="^m must be > 0$"):
             w2_bound_discrete(1.0, 2.0, m, 1.0, h=0.01, k=10, w2_init=5.0, C=3.0)
 
+    # G = -5 used to give a negative h0 and a nan G to drop out of min, a
+    # non-finite b1, b2 or gamma to raise numpy's LinAlgError, and a nan h,
+    # k, w2_init or C to give a nan bound
+    @pytest.mark.parametrize(
+        "function, name, value, message",
+        [
+            (step_thresholds, "G", -5.0, "G must be >= 0"),
+            (step_thresholds, "G", math.nan, "G must be a finite number"),
+            (optimal_alpha, "b1", math.inf, "b1 must be a finite number"),
+            (optimal_alpha, "b2", math.nan, "b2 must be a finite number"),
+            (optimal_alpha, "gamma", -math.inf, "gamma must be a finite number"),
+            (optimal_alpha, "b2", 0.0, "b2 must be > 0"),
+            (w2_bound_discrete, "h", math.nan, "h must be a finite number"),
+            (w2_bound_discrete, "h", 0.0, "h must be > 0"),
+            (w2_bound_discrete, "k", math.nan, "k must be a finite number"),
+            (w2_bound_discrete, "k", -1, "k must be >= 0"),
+            (w2_bound_discrete, "w2_init", math.nan, "w2_init must be a finite number"),
+            (w2_bound_discrete, "w2_init", -5.0, "w2_init must be >= 0"),
+            (w2_bound_discrete, "C", math.nan, "C must be a finite number"),
+            (w2_bound_discrete, "C", math.inf, "C must be a finite number"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_bounds_name_a_bad_parameter(self, function, name, value, message):
+        params = {
+            step_thresholds: {"L": 1.0, "m": 1.0, "G": 1.0, "alpha": 0.0, "gamma": 2.0},
+            optimal_alpha: {"b1": 1.0, "b2": 1.0, "gamma": 2.0},
+            w2_bound_discrete: {"alpha": 1.0, "gamma": 2.0, "m": 1.0, "L": 1.0, "h": 0.01, "k": 10, "w2_init": 5.0,
+                                "C": 3.0},
+        }[function]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            function(**{**params, name: value})
+
     def test_step_thresholds_shapes_and_monotonicity(self):
         t = step_thresholds(1.0, 1.0, 1.0, 0.0, 2.0)
         assert t["h0"] == pytest.approx(min(t["h1"], t["h2"], t["h3"], t["h0"]))
@@ -658,6 +691,25 @@ class TestGaussianPropagation:
     def test_rejects_non_spd(self):
         with pytest.raises(ValueError):
             gaussian_continuous_propagation([[-1.0]], 0.0, 2.0, [0.0, 0.0], np.eye(2), 1.0)
+
+    # a nan time used to give a nan mean with cov0, a nan alpha a nan
+    # summary, and alpha < 0 or gamma <= 0 to run
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("t", math.nan, "t must be finite"),
+            ("t", [0.0, 1.0, math.inf], "t must be finite"),
+            ("alpha", math.nan, "alpha must be a finite number"),
+            ("alpha", -0.5, "alpha must be >= 0"),
+            ("gamma", math.inf, "gamma must be a finite number"),
+            ("gamma", 0.0, "gamma must be > 0"),
+            ("gamma", -2.0, "gamma must be > 0"),
+        ],
+    )
+    def test_names_a_bad_parameter(self, name, value, message):
+        params = {"H": [[1.0]], "alpha": 0.5, "gamma": 2.0, "mean0": [1.0, 0.0], "cov0": np.eye(2), "t": 1.0}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gaussian_continuous_propagation(**{**params, name: value})
 
 
 class TestDiscreteStationaryCovariance:

@@ -1198,9 +1198,9 @@ class TestSweep:
         if case == "tie":
             assert {alpha for alpha, s, n, _ in read if (s, n) == (0, 2)} == set(alphas)
 
-    def test_the_first_raising_scan_in_alpha_seed_order_raises(self, monkeypatch):
-        # seed-major, scan (1.0, seed 0) raises before scan (0.0, seed 1); an
-        # alpha-major scan meets (0.0, seed 1) first, and its error is raised
+    def test_the_first_raising_scan_in_seed_major_order_ends_the_sweep(self, monkeypatch):
+        # seed-major, scan (1.0, seed 0) raises before scan (0.0, seed 1) and
+        # (1.0, seed 2) start, and its own error is raised
         model = builtin_potential("quadratic_iso", m=1.0, d=2)
         stepped = set()
 
@@ -1216,12 +1216,43 @@ class TestSweep:
             return raising
 
         monkeypatch.setattr(harness, "make_stepper", make_raising_stepper)
-        with pytest.raises(RuntimeError, match="^scan 0.0, 1 failed$"):
+        with pytest.raises(RuntimeError, match="^scan 1.0, 0 failed$"):
             sweep_iteration_complexity(model, [0.0, 1.0], [1.0, 2.0], [0.5], eps=0.3, chains=200, seeds=(0, 1, 2),
                                        cap=150)
-        # no scan starts that comes after a raising one in (alpha, seed) order,
-        # once that one has raised: not (1.0, 1), and nothing on seed 2
-        assert stepped == {(0.0, 0), (1.0, 0), (0.0, 1)}
+        # no scan after the raising one in seed-major order starts: nothing on seeds 1 and 2
+        assert stepped == {(0.0, 0), (1.0, 0)}
+
+    @pytest.mark.parametrize("alphas, gammas, steps_grid, message", [
+        ([0.0, 1.0, -1.0], [2.0], [0.5], "alpha must be >= 0"),
+        ([0.0], [2.0, 0.0], [0.5], "gamma must be > 0"),
+        ([0.0], [2.0], [0.5, math.nan], "step must be a finite number"),
+        ([0.0], [2.0], [0.5, 2000.0], "gamma * step must be < 1400 for hfhr_strang's exact OU flow"),
+    ], ids=["alpha", "gamma", "h", "gamma-h"])
+    def test_an_invalid_grid_value_raises_before_any_draw_or_stepper(self, monkeypatch, alphas, gammas, steps_grid,
+                                                                     message):
+        calls = []
+        monkeypatch.setattr(RandomSource, "normals", lambda source, shape, out=None: calls.append("normals"))
+        monkeypatch.setattr(harness, "make_stepper", lambda model, config: calls.append("make_stepper"))
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep_iteration_complexity(model, alphas, gammas, steps_grid, eps=0.1, chains=10, seeds=(0, 1), cap=5)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, np.float64(2.0)])
+    def test_each_seed_must_be_a_non_negative_integer(self, seed):
+        # 1.5 and True used to run seed 1, and -1 to raise numpy's unnamed error
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        with pytest.raises(ValueError, match="^seeds must be non-negative integers$"):
+            sweep_iteration_complexity(model, [0.0], [2.0], [0.5], eps=0.1, chains=10, seeds=(0, seed), cap=5)
+
+    def test_numpy_integers_count_as_integers(self):
+        model = builtin_potential("quadratic_iso", m=1.0, d=1)
+        expected = sweep_iteration_complexity(model, [0.5], [2.0], [0.5], eps=0.02, chains=5, seeds=(1, 1001), cap=6)
+        assert sweep_iteration_complexity(
+            model, [0.5], [2.0], [0.5], eps=0.02, chains=np.int64(5), seeds=(np.uint32(1), np.int64(1001)),
+            cap=np.int32(6),
+        ) == expected
+        assert expected[0].iterations_mean == 5.0
 
     @pytest.mark.parametrize("raiser", [0, 1])
     def test_the_first_hit_or_raise_in_grid_order_decides_the_pass(self, monkeypatch, raiser):
@@ -1412,6 +1443,20 @@ class TestCsv:
         series = harness.ResultSeries(metric="m", rows=[], grad_evals={}, diverged={})
         with pytest.raises(OSError, match="/nonexistent"):
             write_csv(series, "/nonexistent/dir/file.csv")
+
+    @pytest.mark.parametrize("row, reason", [
+        ("c0,2,0.5", "expected 7 fields, got 3"),
+        ("c0,2,0.5,w2_gaussian,0.25,,,extra", "expected 7 fields, got 8"),
+        ("c0,two,0.5,w2_gaussian,0.25,,", "invalid literal for int() with base 10: 'two'"),
+        ("c0,2,0.5,w2_gaussian,x,,", "could not convert string to float: 'x'"),
+        ("c0,2,0.5,w2_gaussian,0.25,?,", "could not convert string to float: '?'"),
+    ], ids=["short", "long", "step", "value", "stderr"])
+    def test_a_malformed_row_names_the_path_and_line(self, tmp_path, row, reason):
+        # a short row used to raise "not enough values to unpack (expected 7, got 3)"
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{harness.CSV_HEADER}\nc0,1,0.25,w2_gaussian,0.5,,\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 3: {reason}')}$"):
+            read_csv(str(path))
 
 
 def series_from(points):

@@ -415,3 +415,20 @@ class TestLogLogSlope:
             loglog_slope([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             loglog_slope([1.0, 2.0, -3.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "xs, ys, name",
+        [
+            ([1.0, 2.0, math.nan], [1.0, 2.0, 3.0], "xs"),
+            ([1.0, 2.0, 3.0], [math.nan, 2.0, 3.0], "ys"),
+            ([1.0, math.inf, 3.0], [1.0, 2.0, 3.0], "xs"),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, math.inf], "ys"),
+            ([1.0, 2.0, 0.0], [1.0, 2.0, 3.0], "xs"),
+            ([1.0, 2.0, 3.0], [1.0, -2.0, 3.0], "ys"),
+        ],
+    )
+    def test_names_data_that_is_not_finite_and_positive(self, capfd, xs, ys, name):
+        # nan data used to raise LinAlgError and print LAPACK lines to stderr
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0 for a log-log fit$"):
+            loglog_slope(xs, ys)
+        assert capfd.readouterr().err == ""
