@@ -12,6 +12,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import expm, solve_discrete_lyapunov
 
+from .potentials import require_finite, require_nonnegative, require_positive
+
 
 @dataclass(frozen=True)
 class TheoryConstants:
@@ -81,26 +83,14 @@ class AffineGaussianMap:
         return self.T.shape[0]
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number")
-
-
-def _require_positive(**values: float) -> None:
-    """Raise a ValueError naming the first value that is not finite, or else not > 0."""
-    _require_finite(**values)
-    for name, value in values.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be > 0")
-
-
-def _require_nonnegative(**values: float) -> None:
-    """Raise a ValueError naming the first value that is not finite, or else not >= 0."""
-    _require_finite(**values)
-    for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0")
+def _symmetric(H) -> np.ndarray:
+    """H as a float matrix, which must be square, finite and symmetric within
+    1e-10 max(1, max |H|), or a ValueError names H."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    finite_square = H.shape == (len(H),) * 2 and np.isfinite(H).all()
+    if not finite_square or np.max(np.abs(H - H.T)) > 1e-10 * max(1.0, np.abs(H).max()):
+        raise ValueError("H must be finite and symmetric")
+    return H
 
 
 def _w2_rate(alpha: float, gamma: float, m: float) -> float:
@@ -124,11 +114,11 @@ def theory_constants(L: float, m: float, alpha: float, gamma: float) -> TheoryCo
     that take a constant beyond the floats raise a ValueError naming the
     one farthest from 1.
     """
-    _require_finite(L=L, m=m, alpha=alpha, gamma=gamma)
+    require_finite(L=L, m=m)
+    require_nonnegative(alpha=alpha)
+    require_positive(gamma=gamma)
     if not (L >= m >= 0):
         raise ValueError("require L >= m >= 0")
-    if gamma <= 0 or alpha < 0:
-        raise ValueError("require gamma > 0 and alpha >= 0")
     l_prime = math.sqrt(2.0) * max(
         math.sqrt(1.0 + alpha * alpha) * max(1.0 / math.sqrt(2.0), L),
         math.sqrt(1.0 + gamma * gamma),
@@ -159,7 +149,7 @@ def theory_constants(L: float, m: float, alpha: float, gamma: float) -> TheoryCo
 
 def rate_bound_chi2_poincare(alpha: float, gamma: float, lambda_pi: float) -> float:
     """Exponential chi^2 rate 2 min{lambda_PI, 1} min{alpha, gamma}."""
-    _require_finite(alpha=alpha, gamma=gamma, lambda_pi=lambda_pi)
+    require_finite(alpha=alpha, gamma=gamma, lambda_pi=lambda_pi)
     if alpha <= 0 or gamma <= 0 or lambda_pi <= 0:
         raise ValueError("alpha, gamma and lambda_pi must be > 0")
     return 2.0 * min(lambda_pi, 1.0) * min(alpha, gamma)
@@ -184,9 +174,8 @@ def rate_bound_chi2_convex(
     alpha <= gamma/lambda - 2/gamma) are flagged, not enforced; the bound
     keeps empirical value beyond them.
     """
-    _require_finite(alpha=alpha, gamma=gamma, lambda_pi=lambda_pi)
-    if gamma <= 0 or alpha < 0 or lambda_pi < 0:
-        raise ValueError("require gamma > 0, alpha >= 0, lambda_pi >= 0")
+    require_nonnegative(alpha=alpha, lambda_pi=lambda_pi)
+    require_positive(gamma=gamma)
     root = math.sqrt(lambda_pi)
     rate = root / (2.0 * gamma) + root * alpha / 16.0
     gamma_ok = gamma * gamma >= 2.0 * lambda_pi and (
@@ -209,7 +198,7 @@ def rate_bound_w2(alpha: float, gamma: float, m: float, L: float) -> W2RateBound
 
     Requires m > 0, besides theory_constants' rules.
     """
-    _require_positive(m=m)
+    require_positive(m=m)
     consts = theory_constants(L, m, alpha, gamma)
     return W2RateBound(
         rate=_w2_rate(alpha, gamma, m),
@@ -236,8 +225,8 @@ def w2_bound_discrete(
     ValueError names one that is not.
     """
     bound = rate_bound_w2(alpha, gamma, m, L)
-    _require_positive(h=h)
-    _require_nonnegative(k=k, w2_init=w2_init, C=C)
+    require_positive(h=h)
+    require_nonnegative(k=k, w2_init=w2_init, C=C)
     return math.sqrt(2.0) * bound.prefactor * math.exp(-bound.rate * k * h) * w2_init + (
         math.sqrt(2.0) * C * h
     )
@@ -261,8 +250,8 @@ def iteration_complexity(
     rate is ``_w2_rate``.  Every input must be finite, alpha >= 0 and the
     rest > 0, or a ValueError names one that is not.
     """
-    _require_nonnegative(alpha=alpha)
-    _require_positive(m=m, gamma=gamma, C=C, h0=h0, eps=eps, kappa_prime=kappa_prime, w2_init=w2_init)
+    require_nonnegative(alpha=alpha)
+    require_positive(m=m, gamma=gamma, C=C, h0=h0, eps=eps, kappa_prime=kappa_prime, w2_init=w2_init)
     rate = _w2_rate(alpha, gamma, m)
     root8 = 2.0 * math.sqrt(2.0)
     h_star = min(h0, eps / (root8 * C))
@@ -277,9 +266,9 @@ def discretization_constant_bound(b1: float, b2: float, alpha: float, m: float, 
     The denominator is ``_w2_rate``.  Every input must be finite, with m and
     gamma > 0 and alpha >= 0, or a ValueError names one that is not.
     """
-    _require_finite(b1=b1, b2=b2)
-    _require_nonnegative(alpha=alpha)
-    _require_positive(m=m, gamma=gamma)
+    require_finite(b1=b1, b2=b2)
+    require_nonnegative(alpha=alpha)
+    require_positive(m=m, gamma=gamma)
     return (b1 * alpha**3 + b2) / _w2_rate(alpha, gamma, m)
 
 
@@ -292,7 +281,7 @@ def optimal_alpha(b1: float, b2: float, gamma: float) -> float:
     is the largest real part of the three.  b1, b2 and gamma must be
     finite and > 0, or a ValueError names one that is not.
     """
-    _require_positive(b1=b1, b2=b2, gamma=gamma)
+    require_positive(b1=b1, b2=b2, gamma=gamma)
     return float(np.roots([b1, 3.0 * b1 / gamma, 0.0, -2.0 * b2]).real.max())
 
 
@@ -303,7 +292,7 @@ def step_thresholds(L: float, m: float, G: float, alpha: float, gamma: float) ->
     Requires gamma^2 > L so the contraction rate is positive, and a finite
     G >= 0, besides theory_constants' rules.
     """
-    _require_nonnegative(G=G)
+    require_nonnegative(G=G)
     if gamma * gamma <= L:
         raise ValueError("step thresholds require gamma^2 > L")
     consts = theory_constants(L, m, alpha, gamma)
@@ -383,20 +372,11 @@ def step_affine_map(
     """
     if kind not in ("ula", "hfhr_em", "uld_klmc", "hfhr_strang"):
         raise ValueError(f"unknown kernel kind '{kind}'")
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    H = _symmetric(H)
     n = H.shape[0]
-    if (
-        H.shape != (n, n)
-        or not np.all(np.isfinite(H))
-        or np.max(np.abs(H - H.T)) > 1e-10 * max(1.0, np.abs(H).max())
-    ):
-        raise ValueError("H must be finite and symmetric")
-    _require_finite(h=h, gamma=gamma, alpha=alpha)
-    _require_positive(h=h)
-    if kind != "ula" and gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    require_positive(h=h)
+    (require_finite if kind == "ula" else require_positive)(gamma=gamma)
+    require_nonnegative(alpha=alpha)
     lam, U = np.linalg.eigh(0.5 * (H + H.T))
 
     if kind == "ula":
@@ -514,7 +494,7 @@ def hfhr_demo2_parameters(eps: float, c: float) -> AcceleratedDiscount:
     """
     if not (0.0 < eps < 1.0 and 1.0 / eps < math.inf):  # 1 / eps is the second eigenvalue
         raise ValueError("eps must lie in (0, 1), with 1 / eps finite")
-    _require_positive(c=c)
+    require_positive(c=c)
     R = math.sqrt(
         4 * c * c * eps**4 + 8 * c * c * eps**3 + 4 * c * c * eps**2 + eps**2 - 2 * eps + 1
     )
@@ -555,26 +535,30 @@ def gaussian_continuous_propagation(
     S(t) = S_inf + e^{At}(cov0 - S_inf)e^{A^T t}, one matrix exponential per
     time.  ``t`` may be a scalar or a nondecreasing sequence; a matching
     GaussianSummary (or list thereof) is returned.  alpha and gamma must be
-    finite, alpha >= 0 and gamma > 0, and every time finite, or a
-    ValueError names the parameter.
+    finite, alpha >= 0 and gamma > 0, H an n x n matrix that is finite,
+    symmetric and positive definite, mean0 a finite 2n-vector, cov0 a
+    finite 2n x 2n matrix, and every time finite, or a ValueError names the
+    parameter.
     """
-    _require_nonnegative(alpha=alpha)
-    _require_positive(gamma=gamma)
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if np.max(np.abs(H - H.T)) > 1e-10 * max(1.0, np.abs(H).max()) or eigs.min() <= 0:
+    require_nonnegative(alpha=alpha)
+    require_positive(gamma=gamma)
+    H = _symmetric(H)
+    if np.linalg.eigvalsh(0.5 * (H + H.T)).min() <= 0:
         raise ValueError("H must be symmetric positive definite")
+    n = H.shape[0]
+    mean0, cov0 = np.asarray(mean0, dtype=float), np.asarray(cov0, dtype=float)
+    for name, value, shape in (("mean0", mean0, (2 * n,)), ("cov0", cov0, (2 * n, 2 * n))):
+        if value.shape != shape or not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, of shape {shape}")
     scalar = np.isscalar(t)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(times)):
         raise ValueError("t must be finite")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonnegative and nondecreasing")
-    n = H.shape[0]
     eye, zeros = np.eye(n), np.zeros((n, n))
     A = np.block([[-alpha * H, eye], [-H, -gamma * eye]])
     s_inf = np.block([[np.linalg.inv(H), zeros], [zeros, eye]])
-    cov0 = np.atleast_2d(np.asarray(cov0, dtype=float))
     out = []
     for t_k in times:
         E = expm(A * t_k)

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import analysis, harness
+from .potentials import require_finite
 from .rng import RandomSource
 from .samplers import ChainState, DivergenceError, SamplerConfig, simulate_chain
 
@@ -43,9 +44,7 @@ def _cmd_sample(args) -> int:
     for flag in ("steps", "seed", "chain_index"):
         if getattr(args, flag) < 0:
             raise harness.ConfigError(f"{flag.replace('_', '-')} must be a non-negative integer")
-    for flag in ("q0", "p0"):
-        if not math.isfinite(getattr(args, flag)):
-            raise harness.ConfigError(f"{flag} must be a finite number")
+    require_finite(q0=args.q0, p0=args.p0)
     config = SamplerConfig(kind=args.kind, step=args.step, gamma=args.gamma, alpha=args.alpha)
     rng = RandomSource(args.seed, args.chain_index)
     q = np.full(model.dim, args.q0)

@@ -31,7 +31,6 @@ import html
 import json
 import math
 import mmap
-import numbers
 import os
 import sys
 import tempfile
@@ -47,7 +46,8 @@ import numpy as np
 from .analysis import GaussianSummary
 from .metrics import chi2_histogram, w2_gaussian_stack
 from .metrics import w2_gaussian  # noqa: F401  perfbench's tracer wraps harness.w2_gaussian
-from .potentials import POTENTIAL_PARAMS, VALID_POTENTIALS, PotentialModel, builtin_potential, finite_number
+from .potentials import (POTENTIAL_PARAMS, VALID_POTENTIALS, PotentialModel, builtin_potential, finite_number, integer,
+                         require_finite)
 from .rng import RandomSource
 from .samplers import KERNELS, ChainState, DivergenceError, SamplerConfig, iterate_chain, make_stepper
 
@@ -182,11 +182,6 @@ def _check_keys(obj: dict, allowed: set, where: str):
             raise ConfigError(f"unknown key '{key}' in {where}")
 
 
-def _integer(value) -> bool:
-    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _positive_number(value) -> bool:
     return finite_number(value) and value > 0
 
@@ -273,7 +268,7 @@ def parse_config(text: str) -> ExperimentSpec:
     horizon = doc.get("horizon")
     if (steps is None) == (horizon is None):
         raise ConfigError("exactly one of 'steps' or 'horizon' is required")
-    if steps is not None and (not _integer(steps) or steps < 1):
+    if steps is not None and (not integer(steps) or steps < 1):
         raise ConfigError("steps must be a positive integer")
     if horizon is not None and not _positive_number(horizon):
         raise ConfigError("horizon must be > 0")
@@ -284,18 +279,18 @@ def parse_config(text: str) -> ExperimentSpec:
 
     chains = doc.get("chains", 10000)
     max_chains = _REFERENCE_STREAM * BLOCK_SIZE
-    if not _integer(chains) or chains < 2:
+    if not integer(chains) or chains < 2:
         raise ConfigError("chains must be an integer >= 2")
     if chains > max_chains:
         raise ConfigError(f"chains must be at most {max_chains}: block b of sampler c draws from stream "
                           f"c * {_CONFIG_STREAMS} + b, below the reference's {_REFERENCE_STREAM}")
     record_every = doc.get("record_every", 1)
-    if not _integer(record_every) or record_every < 1:
+    if not integer(record_every) or record_every < 1:
         raise ConfigError("record_every must be a positive integer")
     if steps is not None and record_every > steps:
         raise ConfigError("record_every must not exceed steps")
     seed = doc.get("seed", 0)
-    if not _integer(seed) or seed < 0:
+    if not integer(seed) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     metric = doc.get("metric", "w2_gaussian")
     if metric not in METRICS:
@@ -329,7 +324,7 @@ def parse_config(text: str) -> ExperimentSpec:
         if ref_horizon is not None and not _positive_number(ref_horizon):
             raise ConfigError("reference.horizon must be > 0")
         ref_chains = ref_doc.get("chains")
-        if ref_chains is not None and (not _integer(ref_chains) or not 1 <= ref_chains <= max_chains):
+        if ref_chains is not None and (not integer(ref_chains) or not 1 <= ref_chains <= max_chains):
             raise ConfigError(f"reference.chains must be a positive integer at most {max_chains}, as chains")
         benchmark = BenchmarkSpec(config, horizon=ref_horizon, chains=ref_chains)
     else:
@@ -355,7 +350,7 @@ def parse_config(text: str) -> ExperimentSpec:
         raise ConfigError("histogram must be an object")
     _check_keys(hist_doc, {"lo", "hi", "bins"}, "histogram")
     bins = hist_doc.get("bins", 50)
-    if not _integer(bins) or bins < 2:
+    if not integer(bins) or bins < 2:
         raise ConfigError("histogram.bins must be an integer >= 2")
     if bins > _MAX_BINS:
         raise ConfigError(f"histogram.bins must be at most {_MAX_BINS}: numpy cannot ask for the bin edges of more")
@@ -871,6 +866,16 @@ class _SharedSlab:
         return self._view
 
 
+def _within(q: np.ndarray, target: np.ndarray, eps: float) -> bool:
+    """The sweep's hit test: whether the chains' mean position lies within eps of target.
+
+    numpy's errstate is per thread, so it is entered here, on the thread
+    that tests: the mean of a state near overflow may overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(q.mean(axis=0) - target) <= eps
+
+
 def _step_pass(workers: list, live: list, target: np.ndarray, eps: float) -> dict:
     """Step each live ``(index, chain)`` pair once, pair i on ``workers[i % 2]``.
 
@@ -893,25 +898,22 @@ def _step_pass(workers: list, live: list, target: np.ndarray, eps: float) -> dic
         nonlocal stop
         share = shares[w]
         try:
-            # numpy's errstate is per thread; the hit check of a state near
-            # overflow may overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                for n, (i, chain) in enumerate(share):
-                    with turn:
-                        turn.wait_for(lambda: front[1 - w] > i - 3)
-                        if i > stop:
-                            return
-                    try:
-                        k, state = next(chain)
-                        outcome = k if np.linalg.norm(state.q.mean(axis=0) - target) <= eps else None
-                    except Exception as exc:  # the caller raises it if no pair before i hits or raises
-                        outcome = exc
-                    with turn:
-                        outcomes[i] = outcome
-                        if outcome is not None and not isinstance(outcome, DivergenceError):
-                            stop = min(stop, i)
-                        front[w] = share[n + 1][0] if n + 1 < len(share) else math.inf
-                        turn.notify_all()
+            for n, (i, chain) in enumerate(share):
+                with turn:
+                    turn.wait_for(lambda: front[1 - w] > i - 3)
+                    if i > stop:
+                        return
+                try:
+                    k, state = next(chain)
+                    outcome = k if _within(state.q, target, eps) else None
+                except Exception as exc:  # the caller raises it if no pair before i hits or raises
+                    outcome = exc
+                with turn:
+                    outcomes[i] = outcome
+                    if outcome is not None and not isinstance(outcome, DivergenceError):
+                        stop = min(stop, i)
+                    front[w] = share[n + 1][0] if n + 1 < len(share) else math.inf
+                    turn.notify_all()
         finally:
             with turn:
                 front[w] = math.inf
@@ -973,15 +975,14 @@ def sweep_iteration_complexity(
     alphas, seeds = [float(alpha) for alpha in alphas], tuple(seeds)
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    if not _integer(chains) or chains < 1:
+    if not integer(chains) or chains < 1:
         raise ValueError("chains must be an integer >= 1")
-    if not _integer(cap) or cap < 0:
+    if not integer(cap) or cap < 0:
         raise ValueError("cap must be an integer >= 0")
-    if not finite_number(init_q):
-        raise ValueError("init_q must be a finite number")
+    require_finite(init_q=init_q)
     if not seeds:
         raise ValueError("seeds must not be empty")
-    if not all(_integer(seed) and seed >= 0 for seed in seeds):
+    if not all(integer(seed) and seed >= 0 for seed in seeds):
         raise ValueError("seeds must be non-negative integers")
     if model.target_mean is None:
         raise ValueError("sweep requires a potential with a known target mean")
@@ -991,9 +992,7 @@ def sweep_iteration_complexity(
         q=np.full((chains, model.dim), float(init_q)),
         p=np.zeros((chains, model.dim)),
     )
-    # the mean of a start near overflow may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        starts_within = np.linalg.norm(state.q.mean(axis=0) - target) <= eps
+    starts_within = _within(state.q, target, eps)
     combos = [(float(gamma), float(h)) for gamma in gammas for h in steps_grid]
     # per alpha, its grid's configs: an invalid value raises here, before any draw
     grids = [[SamplerConfig(kind="hfhr_strang", step=h, gamma=gamma, alpha=alpha) for gamma, h in combos]

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from .analysis import GaussianSummary
+from .potentials import require_finite, require_positive
 
 
 def _psd_sqrt(S: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -118,10 +119,11 @@ def chi2_histogram(samples, target_density, lo: float, hi: float, bins: int) -> 
 def chi2_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> float:
     """Exact chi^2(N(m1, s1^2) || N(m2, s2^2)), +inf when the integral diverges.
 
-    Finiteness requires 2/s1^2 - 1/s2^2 > 0.
+    Finiteness requires 2/s1^2 - 1/s2^2 > 0.  The means must be finite
+    numbers and the scales finite numbers > 0, or a ValueError names one.
     """
-    if s1 <= 0 or s2 <= 0:
-        raise ValueError("scales must be > 0")
+    require_finite(m1=m1, m2=m2)
+    require_positive(s1=s1, s2=s2)
     a = 1.0 / (s1 * s1)
     b = 1.0 / (2.0 * s2 * s2)
     c = a - b
@@ -134,10 +136,14 @@ def chi2_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> float:
 
 
 def mean_error(summary: GaussianSummary, target_mean) -> float:
-    """Euclidean norm of the mean difference; a lower bound on W2."""
+    """Euclidean norm of the mean difference; a lower bound on W2.
+
+    A target mean that is not finite is a ValueError."""
     target = np.atleast_1d(np.asarray(target_mean, dtype=float))
     if target.size != summary.dim:
         raise ValueError("dimension mismatch")
+    if not np.isfinite(target).all():
+        raise ValueError("target_mean must be finite")
     return float(np.linalg.norm(summary.mean - target))
 
 

@@ -11,15 +11,45 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
 
 
+# The package's number vocabulary: each input rule on a number is one of
+# these.  isinstance on concrete types, not on numbers.Real, keeps a check
+# cheap enough for the analysis oracles, which make several per call.
 def finite_number(value) -> bool:
-    """A finite real number; JSON true/false load as bool, which Python counts as an int."""
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite Python or numpy int or float; JSON true/false load as bool, which Python counts as an int."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_finite(**values) -> None:
+    """Raise a ValueError naming the first value that is not a finite number."""
+    for name, value in values.items():
+        if not finite_number(value):
+            raise ValueError(f"{name} must be a finite number")
+
+
+def require_positive(**values) -> None:
+    """Raise a ValueError naming the first value that is not a finite number, or else not > 0."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0")
+
+
+def require_nonnegative(**values) -> None:
+    """Raise a ValueError naming the first value that is not a finite number, or else not >= 0."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,11 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .potentials import integer
+
 
 class RandomSource:
-    """Deterministic standard-normal stream keyed by (seed, stream)."""
+    """Deterministic standard-normal stream keyed by (seed, stream).
+
+    seed and stream must each be an integer >= 0, a numpy one included but
+    not a bool, or a ValueError names the one that is not.
+    """
 
     def __init__(self, seed: int, stream: int = 0):
+        for name, value in (("seed", seed), ("stream", stream)):
+            if not (integer(value) and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0")
         self.seed = int(seed)
         self.stream = int(stream)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

@@ -52,7 +52,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .potentials import PotentialModel, finite_number
+from .potentials import PotentialModel, integer, require_finite, require_nonnegative, require_positive
 from .rng import RandomSource
 
 
@@ -91,17 +91,11 @@ class SamplerConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {', '.join(KINDS)}")
+        require_positive(step=self.step)
+        (require_finite if KERNELS[self.kind].factory is _ula else require_positive)(gamma=self.gamma)
+        require_nonnegative(alpha=self.alpha)
         for name in ("step", "gamma", "alpha"):
-            value = getattr(self, name)
-            if not finite_number(value):
-                raise ValueError(f"{name} must be a finite number")
-            object.__setattr__(self, name, float(value))
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
-        if KERNELS[self.kind].factory is not _ula and self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            object.__setattr__(self, name, float(getattr(self, name)))
         share = KERNELS[self.kind].ou_share  # phi_kernel's e^{-gamma t} over t = share * step
         if share and not share * self.step > 0:
             raise ValueError(f"step * {share:g} must be > 0 for {self.kind}'s exact OU flow")
@@ -116,9 +110,10 @@ def phi_covariance(gamma: float, t: float) -> np.ndarray:
         v_pp = 1 - e^{-2 gamma t},
         v_qp = (1 - e^{-gamma t})^2 / gamma,
         v_qq = (2 gamma t + 4 e^{-gamma t} - e^{-2 gamma t} - 3) / gamma^2.
+
+    gamma and t must be finite numbers > 0, or a ValueError names one.
     """
-    if gamma <= 0 or t <= 0:
-        raise ValueError("gamma and t must be > 0")
+    require_positive(gamma=gamma, t=t)
     x = gamma * t
     if x >= 700.0:
         raise ValueError("gamma * t too large for stable exponentials")
@@ -232,10 +227,11 @@ def psi_tilde_step(
     """One Euler-Maruyama step of the position-dissipation flow.
 
     The gradient is evaluated once, at the incoming position.  With
-    alpha = 0 the position update is exactly the identity.
+    alpha = 0 the position update is exactly the identity.  h must be a
+    finite number > 0 and alpha one >= 0, or a ValueError names one.
     """
-    if h <= 0:
-        raise ValueError("h must be > 0")
+    require_positive(h=h)
+    require_nonnegative(alpha=alpha)
     g = model.grad(state.q)
     eta = rng.normals(np.shape(state.q))
     return _psi(state.q, state.p, g, eta, alpha, h, math.sqrt(2.0 * alpha * h), *_targets(state, None))
@@ -380,10 +376,10 @@ def simulate_chain(
 
     The observer is invoked after each step with (index, state), with
     numpy's overflow warnings silenced as in the step; a DivergenceError
-    from ``iterate_chain`` propagates.
+    from ``iterate_chain`` propagates.  ``steps`` must be an integer >= 0.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    if not (integer(steps) and steps >= 0):
+        raise ValueError("steps must be an integer >= 0")
     if np.shape(init.q)[-1] != model.dim:
         raise ValueError("state dimension does not match the potential")
     state = init

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -152,12 +153,21 @@ class TestTheoryConstants:
         with pytest.raises(ValueError, match=f"^{name} = .* is out of range: a constant leaves the floats$"):
             theory_constants(**params)
 
+    # a bool passed math.isfinite as 0 or 1; the package's other modules rejected it already
     @pytest.mark.parametrize("name", ["L", "m", "alpha", "gamma"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True])
     def test_a_non_finite_parameter_is_named(self, name, value):
         params = {"L": 4.0, "m": 1.0, "alpha": 1.0, "gamma": 2.0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
             theory_constants(**params)
+
+    # the message was "require gamma > 0 and alpha >= 0" for either
+    @pytest.mark.parametrize("name, value, message", [
+        ("gamma", 0.0, "gamma must be > 0"), ("gamma", -2.0, "gamma must be > 0"), ("alpha", -1.0, "alpha must be >= 0"),
+    ])
+    def test_a_parameter_out_of_range_is_named(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            theory_constants(**{"L": 4.0, "m": 1.0, "alpha": 1.0, "gamma": 2.0, name: value})
 
 
 class TestRateBounds:
@@ -185,6 +195,15 @@ class TestRateBounds:
                 rate_bound_chi2_poincare(**params)
             with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
                 rate_bound_chi2_convex(**params)
+
+    # the message was "require gamma > 0, alpha >= 0, lambda_pi >= 0" for each
+    @pytest.mark.parametrize("name, value, message", [
+        ("gamma", 0.0, "gamma must be > 0"), ("alpha", -1.0, "alpha must be >= 0"),
+        ("lambda_pi", -1.0, "lambda_pi must be >= 0"),
+    ])
+    def test_the_convex_bound_names_a_parameter_out_of_range(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rate_bound_chi2_convex(**{"alpha": 1.0, "gamma": 2.0, "lambda_pi": 1.0, name: value})
 
     def test_w2_examples(self):
         for L in (1.0, 4.0, 25.0):
@@ -693,7 +712,9 @@ class TestGaussianPropagation:
             gaussian_continuous_propagation([[-1.0]], 0.0, 2.0, [0.0, 0.0], np.eye(2), 1.0)
 
     # a nan time used to give a nan mean with cov0, a nan alpha a nan
-    # summary, and alpha < 0 or gamma <= 0 to run
+    # summary, and alpha < 0 or gamma <= 0 to run; a nan in H gave an all-nan
+    # summary, one in mean0 a nan mean, and a cov0 of the wrong shape numpy's
+    # broadcast error
     @pytest.mark.parametrize(
         "name, value, message",
         [
@@ -704,11 +725,18 @@ class TestGaussianPropagation:
             ("gamma", math.inf, "gamma must be a finite number"),
             ("gamma", 0.0, "gamma must be > 0"),
             ("gamma", -2.0, "gamma must be > 0"),
+            ("H", [[math.nan]], "H must be finite and symmetric"),
+            ("H", [[math.inf]], "H must be finite and symmetric"),
+            ("H", [[1.0, 0.5], [0.0, 1.0]], "H must be finite and symmetric"),
+            ("mean0", [math.nan, 0.0], "mean0 must be finite, of shape (2,)"),
+            ("mean0", [1.0, 0.0, 0.0], "mean0 must be finite, of shape (2,)"),
+            ("cov0", [[1.0, 0.0], [0.0, math.inf]], "cov0 must be finite, of shape (2, 2)"),
+            ("cov0", np.eye(3), "cov0 must be finite, of shape (2, 2)"),
         ],
     )
     def test_names_a_bad_parameter(self, name, value, message):
         params = {"H": [[1.0]], "alpha": 0.5, "gamma": 2.0, "mean0": [1.0, 0.0], "cov0": np.eye(2), "t": 1.0}
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gaussian_continuous_propagation(**{**params, name: value})
 
 

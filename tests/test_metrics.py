@@ -372,6 +372,22 @@ class TestChi2Gaussian1d:
         with pytest.raises(ValueError):
             chi2_gaussian_1d(0.0, 0.0, 0.0, 1.0)
 
+    # a nan mean gave nan, and the old `s1 <= 0 or s2 <= 0` test let a nan
+    # scale through; a bad scale was "scales must be > 0"
+    @pytest.mark.parametrize("index, value, message", [
+        (0, math.nan, "m1 must be a finite number"),
+        (1, math.nan, "s1 must be a finite number"),
+        (2, math.nan, "m2 must be a finite number"),
+        (3, math.nan, "s2 must be a finite number"),
+        (1, 0.0, "s1 must be > 0"),
+        (3, -1.0, "s2 must be > 0"),
+    ])
+    def test_names_a_bad_argument(self, index, value, message):
+        args = [0.0, 1.0, 0.0, 1.0]
+        args[index] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            chi2_gaussian_1d(*args)
+
 
 class TestMeanError:
     def test_examples(self):
@@ -388,6 +404,12 @@ class TestMeanError:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mean_error(GaussianSummary([0.0], [[1.0]]), [0.0, 1.0])
+
+    @pytest.mark.parametrize("target", [[math.nan, 0.0], [0.0, -math.inf]])
+    def test_a_target_that_is_not_finite_is_named(self, target):
+        # a nan target mean gave nan
+        with pytest.raises(ValueError, match="^target_mean must be finite$"):
+            mean_error(GaussianSummary([1.0, 0.0], np.eye(2)), target)
 
 
 class TestLogLogSlope:

@@ -111,6 +111,20 @@ class TestPhiCovariance:
         with pytest.raises(ValueError):
             phi_covariance(1000.0, 1.0)
 
+    # a nan gamma or t passed the old `gamma <= 0 or t <= 0` test:
+    # phi_kernel(nan, 1) gave drift 1.0 with a nan decay and factor
+    @pytest.mark.parametrize("function", [phi_covariance, phi_kernel])
+    @pytest.mark.parametrize("gamma, t, message", [
+        (math.nan, 1.0, "gamma must be a finite number"),
+        (1.0, math.nan, "t must be a finite number"),
+        (math.inf, 1.0, "gamma must be a finite number"),
+        (0.0, 1.0, "gamma must be > 0"),
+        (1.0, -1.0, "t must be > 0"),
+    ])
+    def test_names_a_bad_parameter(self, function, gamma, t, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            function(gamma, t)
+
 
 class TestPhiHalfStep:
     def test_origin_fixed_point_of_drift(self):
@@ -176,6 +190,18 @@ class TestPsiTildeStep:
         )
         assert out.q[0] == pytest.approx(1.8, abs=1e-15)
         assert out.p[0] == pytest.approx(-0.2, abs=1e-15)
+
+    # a nan h or alpha stepped to nan, and alpha = -1 raised an unnamed "math domain error"
+    @pytest.mark.parametrize("alpha, h, message", [
+        (1.0, math.nan, "h must be a finite number"),
+        (1.0, 0.0, "h must be > 0"),
+        (math.nan, 0.1, "alpha must be a finite number"),
+        (-1.0, 0.1, "alpha must be >= 0"),
+    ])
+    def test_names_a_bad_parameter(self, alpha, h, message):
+        state = ChainState(q=np.array([2.0]), p=np.array([0.0]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            psi_tilde_step(state, F1, alpha, h, ZeroNoise())
 
     def test_constant_potential_is_pure_diffusion(self):
         flat = builtin_potential("quadratic_iso", m=1.0, d=3)
@@ -400,6 +426,13 @@ class TestSimulateChain:
         out = simulate_chain(init, F1, config, 0, RandomSource(0, 0))
         assert out is init
 
+    # 2.5 steps raised range()'s TypeError; the message was "steps must be >= 0"
+    @pytest.mark.parametrize("steps", [-1, 2.5, True])
+    def test_steps_must_be_a_non_negative_integer(self, steps):
+        init = ChainState(q=np.zeros(1), p=np.zeros(1))
+        with pytest.raises(ValueError, match="^steps must be an integer >= 0$"):
+            simulate_chain(init, F1, SamplerConfig(kind="ula", step=0.1), steps, RandomSource(0, 0))
+
     def test_determinism(self):
         config = SamplerConfig(kind="hfhr_strang", step=0.1, gamma=2.0, alpha=1.0)
         init = ChainState(q=np.array([1.0]), p=np.array([0.0]))
@@ -569,6 +602,19 @@ class TestRandomSource:
         a = RandomSource(12345, 0).normals(16)
         b = RandomSource(12345, 1).normals(16)
         assert not np.array_equal(a, b)
+
+    # 1.5 and True used to draw the stream of 1, and -1 to raise numpy's unnamed error
+    @pytest.mark.parametrize("seed, stream, name", [
+        (1.5, 0, "seed"), (True, 0, "seed"), (-1, 0, "seed"), (1, 1.5, "stream"), (1, True, "stream"), (1, -1, "stream"),
+    ])
+    def test_seed_and_stream_must_be_non_negative_integers(self, seed, stream, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0$"):
+            RandomSource(seed, stream)
+
+    def test_numpy_integers_key_the_same_stream(self):
+        source = RandomSource(np.int64(7), np.uint8(2))
+        assert (source.seed, source.stream) == (7, 2)
+        np.testing.assert_array_equal(source.normals(4), RandomSource(7, 2).normals(4))
 
     def test_chain_cross_correlation_small(self):
         config = SamplerConfig(kind="hfhr_strang", step=0.1, gamma=2.0, alpha=1.0)
